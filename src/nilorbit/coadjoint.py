@@ -2,6 +2,22 @@
 
 Conventions: a functional is a coordinate vector in the dual of the stored
 basis; jump indices are 1-based subsets of {1..m} relative to a flag.
+
+Jump labels come from the rank profile of the skew form A = flag_form(flag, xi).
+By definition j belongs to J^k iff e_j lies outside ker A[:k, :k] +
+<e_1..e_{j-1}>, that is iff column j of A[:k, :k] is independent of the
+columns before it: rank A[:k, :j] > rank A[:k, :j-1].  One elimination pass
+over the rows of A (``linalg.rank_profile``) gives the pivot row of every
+column, and rank A[:k, :j] is the number of pivots inside that leading
+block, so
+
+    J^k = {j <= k : pivot_row(j) <= k},    J = J^m = the pivot columns.
+
+For a skew A the pivot map is a fixed-point-free involution, so J^k is the
+union of the pivot pairs inside {1..k}.  This is the rank profile matrix of
+Dumas, Pernet & Sultan (JSC 2017) and Jeannerod, Pernet & Storjohann
+(JSC 2013); it replaces one kernel and membership scan per leading block,
+O(m^4) per point, with one O(m^3) pass.
 """
 
 from __future__ import annotations
@@ -13,13 +29,13 @@ from typing import Sequence
 
 from .algebra import Flag, LieAlgebra, is_ideal
 from .linalg import (
-    RrefAccumulator,
     Subspace,
     Vec,
     ZERO,
     dot,
     is_zero_vec,
     kernel_basis,
+    rank_profile,
     sub_vec,
     unit_vec,
     vec,
@@ -119,32 +135,23 @@ def isotropy(g: LieAlgebra, xi: Functional) -> tuple[Subspace, int]:
     return sub, g.dim - sub.dim
 
 
-def _jump_scan(form: list[list[Fraction]], k: int) -> tuple[int, ...]:
-    """Jump indices of the k x k leading block, by the defining membership tests.
-
-    For j <= k the index j jumps iff e_j lies outside ker(form|_k) + <e_1..e_{j-1}>.
-    """
-    block = [row[:k] for row in form[:k]]
-    acc = RrefAccumulator(k, kernel_basis(block, k))
-    jumps = []
-    for j in range(k):
-        e = unit_vec(k, j)
-        if not acc.contains(e):
-            jumps.append(j + 1)
-        acc.add(e)
-    return tuple(jumps)
-
-
 def jump_set(flag: Flag, xi: Functional) -> tuple[int, ...]:
     """J_xi = {j : g_j not in g(xi) + g_{j-1}}, in flag coordinates, 1-based."""
-    form = flag_form(flag, xi)
-    return _jump_scan(form, flag.dim)
+    pivot_row = rank_profile(flag_form(flag, xi), flag.dim)
+    return tuple(j + 1 for j, r in enumerate(pivot_row) if r is not None)
 
 
 def fine_jump_tuple(flag: Flag, xi: Functional) -> tuple[tuple[int, ...], ...]:
     """(J_xi^1, ..., J_xi^m): jump indices of every leading block of the form."""
-    form = flag_form(flag, xi)
-    return tuple(_jump_scan(form, k) for k in range(1, flag.dim + 1))
+    pivot_row = rank_profile(flag_form(flag, xi), flag.dim)
+    fine = []
+    jumps: tuple[int, ...] = ()
+    for k, r in enumerate(pivot_row):
+        # the pivot map is an involution: the pair {r, k} joins at block k + 1
+        if r is not None and r < k:
+            jumps = tuple(sorted(jumps + (r + 1, k + 1)))
+        fine.append(jumps)
+    return tuple(fine)
 
 
 @dataclass(frozen=True)
@@ -187,20 +194,28 @@ def coadjoint_move(g: LieAlgebra, xi: Functional, x: Sequence[Fraction]) -> Func
     """Ad*(exp x) xi = xi o exp(-ad x), a finite sum since ad x is nilpotent."""
     if g.dim == 0:
         return xi
-    ad = g.ad_matrix(x)
     term = list(xi.coords)
     total = list(term)
     for p in range(1, g.dim + 1):
-        # term <- -(term . ad) / p, i.e. the next series term of xi o exp(-ad x)
+        # nxt = term o ad x from the bracket table: with s = <term, [X_a, X_b]>,
+        # [x, X_b] contributes x_a s and [x, X_a] contributes -x_b s
         nxt = [ZERO] * g.dim
-        for i, a in enumerate(term):
-            if a:
-                row = ad[i]
-                for j in range(g.dim):
-                    if row[j]:
-                        nxt[j] += a * row[j]
+        for a, b, coeffs in g.brackets:
+            xa, xb = x[a], x[b]
+            if not (xa or xb):
+                continue
+            s = ZERO
+            for k, c in coeffs:
+                if term[k]:
+                    s += c * term[k]
+            if s:
+                if xa:
+                    nxt[b] += xa * s
+                if xb:
+                    nxt[a] -= xb * s
         if is_zero_vec(nxt):
             break
+        # term <- -nxt / p, the next series term of xi o exp(-ad x)
         term = [-c / p for c in nxt]
         for j in range(g.dim):
             total[j] += term[j]

@@ -121,9 +121,5 @@ def subspace_to_rows(sub: Subspace) -> list[list[str]]:
     return [[frac_str(c) for c in row] for row in sub.basis]
 
 
-def label_to_list(label: Sequence[int]) -> list[int]:
-    return list(label)
-
-
 def fine_label_to_list(fine: Sequence[Sequence[int]]) -> list[list[int]]:
     return [list(e) for e in fine]

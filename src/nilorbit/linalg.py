@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -28,16 +29,8 @@ def unit_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def add_vec(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def sub_vec(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def scale_vec(c: Fraction, v: Sequence[Fraction]) -> Vec:
-    return tuple(c * a for a in v)
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -129,23 +122,45 @@ def kernel_basis(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[Vec, .
     return rref(out, ncols)[0]
 
 
+def rank_profile(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[int | None, ...]:
+    """Pivot row of each column in one elimination pass, None where there is none.
+
+    Rows are taken in order; each is reduced by the pivot rows already
+    accepted until its leftmost nonzero column c is not yet a pivot column,
+    and then becomes column c's pivot row.  A reduced row differs from the
+    original by earlier rows only, so for every leading block
+    rank A[:k, :j] = #{c < j : pivot row of c < k}: the result is the rank
+    profile matrix of A (Dumas, Pernet & Sultan, JSC 2017).  Each row is
+    scaled to integers and eliminated fraction-free, with accepted pivot
+    rows divided by their content.
+    """
+    pivot_row: list[int | None] = [None] * ncols
+    accepted: dict[int, tuple[int, list[tuple[int, int]]]] = {}  # column -> (lead, tail)
+    for r, raw in enumerate(rows):
+        den = lcm(*[a.denominator for a in raw])
+        row = [a.numerator * (den // a.denominator) for a in raw]
+        c = next((k for k in range(ncols) if row[k]), None)
+        while c is not None and pivot_row[c] is not None:
+            lead, tail = accepted[c]
+            b = row[c]
+            if lead != 1:
+                row = [lead * a for a in row]
+            row[c] = 0
+            for k, v in tail:
+                row[k] -= b * v
+            c = next((k for k in range(c + 1, ncols) if row[k]), None)
+        if c is None:
+            continue
+        content = gcd(*row)
+        if content != 1:
+            row = [a // content for a in row]
+        pivot_row[c] = r
+        accepted[c] = (row[c], [(k, row[k]) for k in range(c + 1, ncols) if row[k]])
+    return tuple(pivot_row)
+
+
 def mat_vec(rows: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
     return tuple(dot(r, v) for r in rows)
-
-
-def vec_mat(v: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]) -> Vec:
-    n = len(rows[0]) if rows else 0
-    out = [ZERO] * n
-    for a, row in zip(v, rows):
-        if a:
-            for j, b in enumerate(row):
-                if b:
-                    out[j] += a * b
-    return tuple(out)
-
-
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    return [list(vec_mat(row, b)) for row in a]
 
 
 def invert(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:

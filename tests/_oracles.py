@@ -1,14 +1,20 @@
 """Independent oracle implementations used to cross-check the library.
 
-These deliberately avoid the library's RREF and membership machinery: rank
-comes from fraction-free cross-multiplication elimination, and jump tuples
-from row-rank jumps of the restricted form matrices (the kernel-free
-characterization), so agreement with the package is a two-route check.
+Rank comes from fraction-free cross-multiplication elimination, and jump
+tuples from row-rank jumps of the restricted form matrices (the kernel-free
+characterization); these avoid the library's RREF and membership machinery,
+so agreement with the package is a two-route check.  The one exception is
+``oracle_membership_fine_tuple``: it follows the definition of the jump sets
+literally, one isotropy kernel and one membership scan per leading block,
+and builds both with the library's RREF.  It shares that arithmetic but not
+the rank-profile pass the package labels points with.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from nilorbit.linalg import RrefAccumulator, kernel_basis, unit_vec
 
 
 def oracle_rank(rows) -> int:
@@ -82,6 +88,28 @@ def oracle_fine_tuple(g, flag_rows, xi_coords):
             if pc is not None:
                 jumps.append(j + 1)
                 reduced.append((row, pc))
+        out.append(tuple(jumps))
+    return tuple(out)
+
+
+def oracle_membership_fine_tuple(g, flag_rows, xi_coords):
+    """Fine jump tuple from the definition, one membership scan per leading block.
+
+    For j <= k the index j belongs to J^k iff e_j lies outside
+    ker(form|_k) + <e_1..e_{j-1}>.
+    """
+    m = len(flag_rows)
+    form = oracle_form_matrix(g, flag_rows, xi_coords)
+    out = []
+    for k in range(1, m + 1):
+        block = [row[:k] for row in form[:k]]
+        acc = RrefAccumulator(k, kernel_basis(block, k))
+        jumps = []
+        for j in range(k):
+            e = unit_vec(k, j)
+            if not acc.contains(e):
+                jumps.append(j + 1)
+            acc.add(e)
         out.append(tuple(jumps))
     return tuple(out)
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from random import Random
 
 from conftest import flag_of
-from _oracles import oracle_fine_tuple, oracle_rank
+from _oracles import oracle_fine_tuple, oracle_membership_fine_tuple, oracle_rank
 
 from nilorbit.algebra import center, change_basis, direct_product, quotient
 from nilorbit.coadjoint import (
@@ -166,11 +166,14 @@ def test_criterion_5_fine_tuple_oracle_equivalence():
         rng = Random(5)
         for _ in range(50):
             xi = random_functional(g, rng)
-            if fine_jump_tuple(flag, xi) != oracle_fine_tuple(g, flag.rows, xi.coords):
+            fine = fine_jump_tuple(flag, xi)
+            if fine != oracle_fine_tuple(g, flag.rows, xi.coords):
+                ok = False
+            if fine != oracle_membership_fine_tuple(g, flag.rows, xi.coords):
                 ok = False
     _verdict(
         5,
-        "membership-test fine tuples equal restricted-form rank oracle",
+        "rank-profile fine tuples equal restricted-form rank oracle and membership-scan oracle",
         ok,
         time.time() - start,
         60.0,

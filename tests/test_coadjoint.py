@@ -6,12 +6,14 @@ import pytest
 from conftest import flag_of
 from _oracles import oracle_fine_tuple, oracle_rank
 
-from nilorbit.algebra import direct_product
+from nilorbit.algebra import change_basis, direct_product, lie_algebra
 from nilorbit.coadjoint import (
+    Functional,
     bform_matrix,
     coadjoint_move,
     dual_functional_by_name,
     fine_jump_tuple,
+    flag_form,
     functional,
     is_flat_orbit,
     isotropy,
@@ -21,14 +23,32 @@ from nilorbit.coadjoint import (
     random_vector,
     zero_functional,
 )
-from nilorbit.families import abelian, heisenberg, hmn, threadlike
-from nilorbit.linalg import Subspace, unit_vec
+from nilorbit.families import abelian, heisenberg, hmn, random_unimodular, threadlike
+from nilorbit.linalg import ZERO, Subspace, invert, mat_vec, rank_profile, unit_vec
 
 F = Fraction
 
 
 def span_of(g, *names):
     return Subspace.from_vectors(g.dim, [unit_vec(g.dim, g.basis_names.index(s)) for s in names])
+
+
+def dense(g, seed):
+    """g after a random unimodular change of basis."""
+    return change_basis(g, random_unimodular(g.dim, Random(seed)))
+
+
+def sample_points(flag, rng, count):
+    """Random functionals; every second one has a random subset of its flag
+    coordinates <xi, F_j> zeroed, so that lower strata occur in dense bases too."""
+    g = flag.algebra
+    to_stored = invert(flag.rows)
+    for i in range(count):
+        xi = random_functional(g, rng)
+        if i % 2:
+            zeroed = [c if rng.random() < 0.5 else F(0) for c in xi.coords]
+            xi = Functional(g, mat_vec(to_stored, zeroed))
+        yield xi
 
 
 # --- skew form ---------------------------------------------------------------
@@ -147,11 +167,21 @@ def test_fine_tuple_last_component_is_coarse():
 
 def test_fine_tuple_matches_rank_oracle():
     rng = Random(5)
-    for g in (hmn(2, 2), hmn(3, 2), threadlike(4)):
+    for g in (hmn(2, 2), hmn(3, 2), threadlike(4), dense(direct_product(heisenberg(4), abelian(2)), 3)):
         flag = flag_of(g)
-        for _ in range(15):
-            xi = random_functional(g, rng)
+        for xi in sample_points(flag, rng, 16):
             assert fine_jump_tuple(flag, xi) == oracle_fine_tuple(g, flag.rows, xi.coords)
+
+
+def test_rank_profile_of_form_is_fixed_point_free_involution():
+    rng = Random(12)
+    for g in (hmn(3, 3), threadlike(6), dense(hmn(3, 3), 1), dense(threadlike(6), 2)):
+        flag = flag_of(g)
+        for xi in sample_points(flag, rng, 20):
+            pivot_row = rank_profile(flag_form(flag, xi), g.dim)
+            for c, r in enumerate(pivot_row):
+                if r is not None:
+                    assert r != c and pivot_row[r] == c
 
 
 # --- jump data ---------------------------------------------------------------
@@ -190,6 +220,33 @@ def test_move_h3_explicit():
     xi = dual_functional_by_name(g, "Z")
     moved = coadjoint_move(g, xi, unit_vec(3, 1))
     assert moved.coords == (F(1), F(0), F(-1))
+
+
+def move_via_ad_matrix(g, xi, x):
+    """The exponential series with the dense matrix of ad x, as a reference."""
+    ad = g.ad_matrix(x)
+    term = list(xi.coords)
+    total = list(term)
+    for p in range(1, g.dim + 1):
+        nxt = [sum((term[i] * ad[i][j] for i in range(g.dim)), ZERO) for j in range(g.dim)]
+        term = [-c / p for c in nxt]
+        total = [a + b for a, b in zip(total, term)]
+    return tuple(total)
+
+
+def test_move_matches_dense_ad_series():
+    rng = Random(14)
+    for g in (hmn(3, 2), threadlike(5), dense(hmn(3, 2), 4)):
+        for xi in sample_points(flag_of(g), rng, 10):
+            x = random_vector(g, rng)
+            assert coadjoint_move(g, xi, x).coords == move_via_ad_matrix(g, xi, x)
+
+
+def test_move_rejects_non_nilpotent_ad():
+    g = lie_algebra(2, ["A", "B"], {(0, 1): {1: 1}})  # [A, B] = B
+    xi = dual_functional_by_name(g, "B")
+    with pytest.raises(RuntimeError, match="not nilpotent"):
+        coadjoint_move(g, xi, unit_vec(2, 0))
 
 
 def test_jump_set_invariant_under_action():

@@ -1,4 +1,7 @@
 from fractions import Fraction
+from random import Random
+
+from _oracles import oracle_rank
 
 from nilorbit.linalg import (
     RrefAccumulator,
@@ -7,6 +10,7 @@ from nilorbit.linalg import (
     kernel_basis,
     mat_vec,
     rank,
+    rank_profile,
     rref,
     unit_vec,
     vec,
@@ -87,3 +91,24 @@ def test_subspace_zero_and_full():
     assert z.dim == 0 and f.dim == 3
     assert f.contains_subspace(z)
     assert z.perp() == f
+
+
+def test_rank_profile_counts_every_leading_block_rank():
+    rng = Random(11)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [
+            [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else F(0) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        pivot_row = rank_profile(rows, ncols)
+        assert len(pivot_row) == ncols
+        for k in range(nrows + 1):
+            for j in range(ncols + 1):
+                pivots = sum(1 for c in range(j) if pivot_row[c] is not None and pivot_row[c] < k)
+                assert pivots == oracle_rank([r[:j] for r in rows[:k]])
+
+
+def test_rank_profile_zero_and_empty():
+    assert rank_profile([[F(0)] * 4 for _ in range(4)], 4) == (None,) * 4
+    assert rank_profile([], 0) == ()
