@@ -143,7 +143,11 @@ def jump_set(flag: Flag, xi: Functional) -> tuple[int, ...]:
 
 def fine_jump_tuple(flag: Flag, xi: Functional) -> tuple[tuple[int, ...], ...]:
     """(J_xi^1, ..., J_xi^m): jump indices of every leading block of the form."""
-    pivot_row = rank_profile(flag_form(flag, xi), flag.dim)
+    return fine_tuple_from_pivots(rank_profile(flag_form(flag, xi), flag.dim))
+
+
+def fine_tuple_from_pivots(pivot_row: Sequence[int | None]) -> tuple[tuple[int, ...], ...]:
+    """(J^1, ..., J^m) from the pivot row of each column of a skew form."""
     fine = []
     jumps: tuple[int, ...] = ()
     for k, r in enumerate(pivot_row):

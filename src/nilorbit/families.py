@@ -16,7 +16,6 @@ from .algebra import (
     LieAlgebra,
     center,
     derived_subalgebra,
-    jordan_holder_flag,
     lie_algebra,
     lower_central_series,
     quotient,
@@ -30,7 +29,6 @@ from .coadjoint import (
     random_functional,
 )
 from .linalg import Subspace, rank, unit_vec
-from .strata import generic_stratum
 
 
 @dataclass(frozen=True)
@@ -267,8 +265,8 @@ def recognize_heisenberg_times_abelian(g: LieAlgebra) -> Recognition | None:
 
     The test is basis-independent: [g, g] must be a central line R*z, and
     the skew form of any functional with <xi, z> = 1 must have rank 2d and
-    kernel of dimension k + 1 containing z.  When k = 0 and the symbolic
-    index is 1, the note records that the one-layer-over-characters picture
+    kernel of dimension k + 1 containing z.  The index is then k + 1, so
+    when k = 0 the note records that the one-layer-over-characters picture
     applies.
     """
     der = derived_subalgebra(g)
@@ -290,11 +288,8 @@ def recognize_heisenberg_times_abelian(g: LieAlgebra) -> Recognition | None:
     k = g.dim - 2 * d - 1
     if iso.dim != k + 1:
         return None
-    note = None
-    if k == 0:
-        result = generic_stratum(jordan_holder_flag(g), mode="symbolic")
-        if result.ind == 1:
-            note = "index 1 confirmed: single generic layer over the characters"
+    # [g, g] = R*z makes every skew form a multiple of this one: rank <= 2d, so ind = k + 1
+    note = "index 1 confirmed: single generic layer over the characters" if k == 0 else None
     return Recognition(d, k, note)
 
 

@@ -50,27 +50,39 @@ def algebra_to_dict(g: LieAlgebra) -> dict:
     return {"dim": g.dim, "basis": list(g.basis_names), "brackets": brackets}
 
 
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def algebra_from_dict(doc) -> LieAlgebra:
     if not isinstance(doc, dict):
         raise FormatError("algebra document must be a JSON object")
-    try:
-        dim = int(doc["dim"])
-        basis = [str(s) for s in doc["basis"]]
-        raw = doc.get("brackets", [])
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"malformed algebra document: {e}") from e
+    if not {"dim", "basis"} <= doc.keys():
+        raise FormatError("malformed algebra document: needs dim and basis")
+    dim = _integer(doc["dim"], "dim")
+    basis = doc["basis"]
+    raw = doc.get("brackets", [])
+    if not isinstance(basis, list) or not all(isinstance(s, str) for s in basis):
+        raise FormatError("basis must be a JSON array of name strings")
+    if not isinstance(raw, list):
+        raise FormatError("brackets must be a JSON array")
     if dim < 0:
         raise FormatError(f"negative dimension {dim}")
     if len(basis) != dim:
         raise FormatError(f"{len(basis)} basis names for dimension {dim}")
+    if len(set(basis)) != dim:
+        raise FormatError(f"duplicate basis names in {basis}")
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for entry in raw:
-        try:
-            i = int(entry["i"])
-            j = int(entry["j"])
-            coeffs = entry["coeffs"]
-        except (KeyError, TypeError, ValueError) as e:
-            raise FormatError(f"malformed bracket entry {entry!r}: {e}") from e
+        if not isinstance(entry, dict) or not {"i", "j", "coeffs"} <= entry.keys():
+            raise FormatError(f"malformed bracket entry {entry!r}: needs i, j and coeffs")
+        i = _integer(entry["i"], "bracket index i")
+        j = _integer(entry["j"], "bracket index j")
+        coeffs = entry["coeffs"]
+        if not isinstance(coeffs, dict):
+            raise FormatError(f"coeffs of bracket ({i}, {j}) must be a JSON object")
         if not (1 <= i < j <= dim):
             raise FormatError(f"bracket indices ({i}, {j}) out of range for dim {dim}")
         if (i - 1, j - 1) in brackets:

@@ -21,7 +21,7 @@ from typing import Sequence
 from .algebra import LieAlgebra, center, is_ideal
 from .coadjoint import Functional, bform_matrix, is_flat_orbit, isotropy
 from .linalg import Subspace, ZERO, dot, rank as mat_rank, sub_vec
-from .polys import Poly, poly_row_space, ucoeffs, udet, udiv_exact, ugcd, upoly
+from .polys import Poly, poly_rank_profile, ucoeffs, udet, udiv_exact, ugcd, upoly
 
 
 class LimitError(ValueError):
@@ -137,7 +137,7 @@ def direction_family(g: LieAlgebra, xi_t: OneParamFunctional) -> DirectionFamily
         if not entry.is_zero:
             form[i][j] = entry
             form[j][i] = -entry
-    rows = poly_row_space(form, m)
+    _, rows = poly_rank_profile(form, m)
     if not rows:
         raise LimitError("the family is identically a character family (zero form)")
     return DirectionFamily(tuple(tuple(r) for r in rows), len(rows), m)
@@ -319,12 +319,15 @@ def orbit_limit_set(
 
 
 def _generic_parameter(g: LieAlgebra, xi_t: OneParamFunctional, fam: DirectionFamily, t0: Fraction) -> Fraction:
-    """A parameter value where the direction family has its generic rank."""
-    candidates = [Fraction(c) for c in (1, 2, 3, Fraction(1, 2), 5, 7, Fraction(1, 3), 11)]
-    for t in candidates:
-        if t == t0:
-            continue
+    """A parameter value where the direction family has its generic rank.
+
+    A nonzero r x r minor of the form has degree at most r * D, where D is the
+    largest coordinate degree, so it vanishes at no more than r * D of the
+    r * D + 1 values tried besides t0.
+    """
+    tries = fam.rank * max(p.degree() for p in xi_t.coord_polys) + 1
+    for t in [Fraction(c) for c in range(1, tries + 2) if c != t0][:tries]:
         mat = bform_matrix(g, xi_t.at(t))
         if mat_rank(mat, g.dim) == fam.rank:
             return t
-    raise LimitError("could not find a generic parameter value among the candidates")
+    raise LimitError(f"no generic parameter among {tries} values; the degree bound failed")

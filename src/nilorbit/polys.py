@@ -134,56 +134,32 @@ def strip_row(row: list[Poly]) -> list[Poly]:
     return out
 
 
-def generic_rank_rows(rows: Sequence[Sequence[Poly]], ncols: int) -> tuple[int, ...]:
-    """Row indices at which the generic rank jumps, scanning rows in order.
+def poly_rank_profile(
+    rows: Sequence[Sequence[Poly]], ncols: int
+) -> tuple[tuple[int | None, ...], list[list[Poly]]]:
+    """Pivot row of each column over the field of rational functions, and a row basis.
 
-    Fraction-free Gaussian elimination: every accepted row contributes a
-    pivot chosen as its lowest-degree nonzero entry; a later row is reduced
-    by cross-multiplication against all pivots and joins the output iff the
-    residue is not identically zero.
+    The pass of ``linalg.rank_profile`` over polynomial entries: rows are
+    taken in order, and each is reduced fraction-free by the accepted rows
+    (cross-multiplication, then ``strip_row``) until its leftmost nonzero
+    column has no pivot yet; it then becomes that column's pivot row.  The
+    accepted rows, in row order, are a polynomial basis of the row space.
     """
-    pivot_rows: list[list[Poly]] = []
-    pivot_cols: list[int] = []
-    jumps = []
-    for idx, raw in enumerate(rows):
+    pivot_row: list[int | None] = [None] * ncols
+    accepted: dict[int, list[Poly]] = {}  # column -> reduced row leading there, in row order
+    for r, raw in enumerate(rows):
         cur = list(raw)
-        for prow, pcol in zip(pivot_rows, pivot_cols):
-            c = cur[pcol]
-            if c.is_zero:
-                continue
-            piv = prow[pcol]
-            cur = [piv * a - c * b for a, b in zip(cur, prow)]
-            cur = strip_row(cur)
-        live = [(k, p) for k, p in enumerate(cur) if not p.is_zero]
-        if not live:
+        c = next((k for k in range(ncols) if not cur[k].is_zero), None)
+        while c is not None and pivot_row[c] is not None:
+            prow = accepted[c]
+            piv, b = prow[c], cur[c]
+            cur = strip_row([piv * a - b * p for a, p in zip(cur, prow)])
+            c = next((k for k in range(c + 1, ncols) if not cur[k].is_zero), None)
+        if c is None:
             continue
-        jumps.append(idx)
-        pc = min(live, key=lambda kp: (kp[1].degree(), kp[0]))[0]
-        pivot_rows.append(cur)
-        pivot_cols.append(pc)
-    return tuple(jumps)
-
-
-def poly_row_space(rows: Sequence[Sequence[Poly]], ncols: int) -> list[list[Poly]]:
-    """A polynomial basis of the row space over the rational function field."""
-    pivot_rows: list[list[Poly]] = []
-    pivot_cols: list[int] = []
-    for raw in rows:
-        cur = list(raw)
-        for prow, pcol in zip(pivot_rows, pivot_cols):
-            c = cur[pcol]
-            if c.is_zero:
-                continue
-            piv = prow[pcol]
-            cur = [piv * a - c * b for a, b in zip(cur, prow)]
-            cur = strip_row(cur)
-        live = [(k, p) for k, p in enumerate(cur) if not p.is_zero]
-        if not live:
-            continue
-        pc = min(live, key=lambda kp: (kp[1].degree(), kp[0]))[0]
-        pivot_rows.append(cur)
-        pivot_cols.append(pc)
-    return pivot_rows
+        pivot_row[c] = r
+        accepted[c] = cur
+    return tuple(pivot_row), list(accepted.values())
 
 
 # ---------------------------------------------------------------------------

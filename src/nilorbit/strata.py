@@ -5,6 +5,11 @@ with min(empty) = infinity, so the empty set is the maximum.  Fine labels are
 m-tuples of index sets compared lexicographically; both scan directions
 occur in practice, so the variant is a parameter everywhere and every
 report records which one was used.
+
+Point labels and symbolic labels come from the same rank-profile rule
+(``coadjoint.fine_tuple_from_pivots``).  The symbolic generic label treats the
+dual coordinates as indeterminates and reads every J^k from one rank-profile
+pass over the ``Poly`` entries of the form (``polys.poly_rank_profile``).
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ from .algebra import Flag, derived_subalgebra
 from .coadjoint import (
     Functional,
     fine_jump_tuple,
+    fine_tuple_from_pivots,
     random_functional,
 )
-from .polys import Poly, generic_rank_rows
+from .polys import Poly, poly_rank_profile
 
 IndexSetLabel = tuple[int, ...]
 FineLabel = tuple[IndexSetLabel, ...]
@@ -89,12 +95,8 @@ def _symbolic_fine_label(flag: Flag) -> FineLabel:
         )
         form[a][b] = entry
         form[b][a] = -entry
-    label = []
-    for k in range(1, m + 1):
-        block = [row[:k] for row in form[:k]]
-        jumps = generic_rank_rows(block, k)
-        label.append(tuple(j + 1 for j in jumps))
-    return tuple(label)
+    pivot_row, _ = poly_rank_profile(form, m)
+    return fine_tuple_from_pivots(pivot_row)
 
 
 def generic_stratum(

@@ -7,7 +7,10 @@ so agreement with the package is a two-route check.  The one exception is
 ``oracle_membership_fine_tuple``: it follows the definition of the jump sets
 literally, one isotropy kernel and one membership scan per leading block,
 and builds both with the library's RREF.  It shares that arithmetic but not
-the rank-profile pass the package labels points with.
+the rank-profile pass the package labels points with.  Likewise
+``oracle_symbolic_fine_label`` eliminates over the library's ``Poly`` type,
+but one leading block at a time with lowest-degree pivots instead of the
+package's single rank-profile pass.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from nilorbit.linalg import RrefAccumulator, kernel_basis, unit_vec
+from nilorbit.polys import Poly, strip_row
 
 
 def oracle_rank(rows) -> int:
@@ -116,3 +120,36 @@ def oracle_membership_fine_tuple(g, flag_rows, xi_coords):
 
 def oracle_jump_set(g, flag_rows, xi_coords):
     return oracle_fine_tuple(g, flag_rows, xi_coords)[-1]
+
+
+def oracle_symbolic_fine_label(flag):
+    """Generic fine label, one fraction-free elimination per leading block.
+
+    The dual coordinates are indeterminates.  In the k x k leading block of
+    the form, each row is reduced by cross-multiplication against every
+    accepted row, whose pivot is its lowest-degree nonzero entry, and the
+    rows that stay nonzero make up J^k.
+    """
+    m = flag.dim
+    zero = Poly.zero(m)
+    form = [[zero] * m for _ in range(m)]
+    for (a, b), sparse in flag.pair_support.items():
+        entry = Poly.make(m, {tuple(1 if v == i else 0 for v in range(m)): c for i, c in sparse})
+        form[a][b] = entry
+        form[b][a] = -entry
+    label = []
+    for k in range(1, m + 1):
+        accepted = []  # (row, pivot column)
+        jumps = []
+        for j in range(k):
+            cur = form[j][:k]
+            for prow, pc in accepted:
+                c = cur[pc]
+                if not c.is_zero:
+                    cur = strip_row([prow[pc] * a - c * b for a, b in zip(cur, prow)])
+            live = [(col, p) for col, p in enumerate(cur) if not p.is_zero]
+            if live:
+                jumps.append(j + 1)
+                accepted.append((cur, min(live, key=lambda cp: (cp[1].degree(), cp[0]))[0]))
+        label.append(tuple(jumps))
+    return tuple(label)

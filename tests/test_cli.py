@@ -6,7 +6,7 @@ import pytest
 
 from nilorbit.cli import main
 from nilorbit.families import heisenberg
-from nilorbit.formats import algebra_to_json
+from nilorbit.formats import FormatError, algebra_from_json, algebra_to_json
 
 
 def run_cli(args, stdin_text=None, capsys=None, monkeypatch=None):
@@ -44,8 +44,6 @@ def test_family_pipe_validate(capsys, monkeypatch):
 
 def test_family_output_roundtrips_bit_exactly(capsys, monkeypatch):
     code, out = run_cli(["family", "threadlike", "4"], capsys=capsys)
-    from nilorbit.formats import algebra_from_json
-
     assert algebra_to_json(algebra_from_json(out)) == out
 
 
@@ -63,6 +61,30 @@ def test_validate_malformed_json_reports_and_fails(capsys, monkeypatch):
     assert code == 1
     doc = json.loads(out)
     assert doc["diagnostics"][0]["kind"] == "malformed"
+
+
+_H3 = {"dim": 3, "basis": ["Z", "X", "Y"], "brackets": [{"i": 2, "j": 3, "coeffs": {"1": "1"}}]}
+_MALFORMED = {
+    "coeffs-array": dict(_H3, brackets=[{"i": 2, "j": 3, "coeffs": ["1"]}]),
+    "brackets-null": dict(_H3, brackets=None),
+    "basis-string": dict(_H3, basis="ZXY"),
+    "dim-float": dict(_H3, dim=2.7),
+    "dim-bool": dict(_H3, dim=True),
+    "duplicate-names": dict(_H3, basis=["Z", "X", "X"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_document_types_are_format_errors(name, capsys, monkeypatch):
+    text = json.dumps(_MALFORMED[name])
+    with pytest.raises(FormatError):
+        algebra_from_json(text)
+    # validate reports a malformed document as a diagnostic; other commands exit 2
+    code, out = run_cli(["validate"], stdin_text=text, capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 1
+    assert json.loads(out)["diagnostics"][0]["kind"] == "malformed"
+    code, _ = run_cli(["series"], stdin_text=text, capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 2
 
 
 def test_series_on_nonnilpotent_is_math_error(capsys, monkeypatch):

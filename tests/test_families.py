@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import oracle_det
 
-from nilorbit.algebra import center, change_basis, direct_product, validate_algebra
+from nilorbit.algebra import center, change_basis, direct_product, jordan_holder_flag, validate_algebra
 from nilorbit.families import (
     FamilySpec,
     abelian,
@@ -17,6 +17,7 @@ from nilorbit.families import (
     threadlike,
     verify_hmn,
 )
+from nilorbit.strata import generic_stratum
 
 F = Fraction
 
@@ -107,6 +108,21 @@ def test_recognize_heisenberg():
     rec = recognize_heisenberg_times_abelian(heisenberg(3))
     assert rec is not None and (rec.d, rec.k) == (3, 0)
     assert rec.note is not None  # index 1 confirmed
+
+
+def test_recognize_note_and_index_without_symbolic_elimination():
+    # recognition reads ind = k + 1 off one skew form; the symbolic generic
+    # stratum cross-checks it, and the note must mark exactly k = 0
+    for d in (1, 2):
+        for k in (0, 1, 2):
+            g = direct_product(heisenberg(d), abelian(k))
+            rng = Random(31 * d + k)
+            for _ in range(2):
+                h = change_basis(g, random_unimodular(g.dim, rng))
+                rec = recognize_heisenberg_times_abelian(h)
+                assert rec is not None and (rec.d, rec.k) == (d, k)
+                assert (rec.note is not None) == (k == 0)
+                assert generic_stratum(jordan_holder_flag(h), mode="symbolic").ind == k + 1
 
 
 def test_recognize_abelian_fails():

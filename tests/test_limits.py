@@ -239,3 +239,16 @@ def test_orbit_limit_rejects_nonflat_generic_family():
     xi_t = one_param_functional(g, ["0", "0", "1", "t"])
     with pytest.raises(LimitError):
         orbit_limit_set(g, xi_t)
+
+
+def test_orbit_limit_finds_a_generic_parameter_past_fixed_candidates():
+    # the scale factor vanishes at 1, 2, 3, 1/2, 5, 7, 1/3 and 11, so eight tries never find rank 2
+    g = heisenberg(1)
+    roots = ("1", "2", "3", "1/2", "5", "7", "1/3", "11")
+    p = parse_poly("1")
+    for c in roots:
+        p = p * parse_poly(f"t-{c}")
+    xi_t = one_param_functional(g, [format_poly(p), "0", "0"])
+    rep = orbit_limit_set(g, xi_t, sample_budget=5)
+    assert rep.generic_rank == 2 and not rep.degenerated
+    assert rep.limit_direction == span(3, 1, 2)

@@ -7,8 +7,7 @@ from _oracles import oracle_det, oracle_rank
 
 from nilorbit.polys import (
     Poly,
-    generic_rank_rows,
-    poly_row_space,
+    poly_rank_profile,
     ucoeffs,
     udet,
     udiv_exact,
@@ -61,33 +60,54 @@ def test_udet_matches_expansion_oracle():
             assert det.evaluate((t,)) == oracle_det(numeric)
 
 
-def test_generic_rank_rows_agrees_with_numeric_rank_at_generic_point():
+def _random_poly_matrix(rng, nrows, ncols, nvars):
+    """Entries are random linear forms in the variables plus a constant."""
+    rows = []
+    for _ in range(nrows):
+        row = []
+        for _ in range(ncols):
+            data = {(0,) * nvars: F(rng.randint(-1, 1))}
+            for v in range(nvars):
+                data[tuple(1 if i == v else 0 for i in range(nvars))] = F(rng.randint(-2, 2))
+            row.append(Poly.make(nvars, data))
+        rows.append(row)
+    return rows
+
+
+def test_poly_rank_profile_counts_every_leading_block_rank():
     rng = Random(1)
-    for _ in range(10):
-        nrows, ncols, nvars = rng.randint(1, 4), rng.randint(1, 4), 2
-        rows = []
-        for _ in range(nrows):
-            row = []
-            for _ in range(ncols):
-                data = {}
-                for v in range(nvars):
-                    mono = tuple(1 if i == v else 0 for i in range(nvars))
-                    data[mono] = F(rng.randint(-2, 2))
-                row.append(Poly.make(nvars, data))
-            rows.append(row)
-        jumps = generic_rank_rows(rows, ncols)
-        # a random rational point is generic with overwhelming probability
-        point = tuple(F(rng.randint(50, 150), rng.randint(1, 7)) for _ in range(nvars))
+    for _ in range(25):
+        nrows, ncols, nvars = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 3)
+        rows = _random_poly_matrix(rng, nrows, ncols, nvars)
+        if rng.random() < 0.5:  # a dependent row: a combination of two earlier ones
+            a, b = rng.randrange(nrows), rng.randrange(nrows)
+            rows.append([p.scale(2) - q for p, q in zip(rows[a], rows[b])])
+        pivot_row, basis = poly_rank_profile(rows, ncols)
+        assert len(basis) == sum(r is not None for r in pivot_row)
+        # a wide random rational point is generic with overwhelming probability
+        point = tuple(F(rng.randint(50, 10**6), rng.randint(1, 97)) for _ in range(nvars))
         numeric = [[p.evaluate(point) for p in row] for row in rows]
-        assert len(jumps) == oracle_rank(numeric)
+        for k in range(len(rows) + 1):
+            for j in range(ncols + 1):
+                pivots = sum(1 for c in range(j) if pivot_row[c] is not None and pivot_row[c] < k)
+                assert pivots == oracle_rank([row[:j] for row in numeric[:k]])
 
 
-def test_poly_row_space_spans_same_rows_at_generic_point():
+def test_poly_rank_profile_rows_span_the_row_space():
+    rng = Random(2)
+    for _ in range(15):
+        nrows, ncols, nvars = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 2)
+        rows = _random_poly_matrix(rng, nrows, ncols, nvars)
+        _, basis = poly_rank_profile(rows, ncols)
+        point = tuple(F(rng.randint(50, 10**6), rng.randint(1, 97)) for _ in range(nvars))
+        numeric = [[p.evaluate(point) for p in row] for row in rows]
+        reduced = [[p.evaluate(point) for p in row] for row in basis]
+        assert oracle_rank(reduced) == len(basis) == oracle_rank(numeric)
+        assert oracle_rank(numeric + reduced) == len(basis)
     t = Poly.variable(1, 0)
     one = Poly.const(1, 1)
     zero = Poly.zero(1)
     rows = [[zero, one, t], [-one, zero, zero], [t.scale(-1), zero, zero]]
-    basis = poly_row_space(rows, 3)
+    pivot_row, basis = poly_rank_profile(rows, 3)
     assert len(basis) == 2
-    jumps = generic_rank_rows(rows, 3)
-    assert jumps == (0, 1)  # third row is t * second row
+    assert pivot_row == (1, 0, None)  # third row is t * second row

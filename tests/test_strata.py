@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import flag_of
+from _oracles import oracle_symbolic_fine_label
 
 from nilorbit.algebra import center, direct_product
 from nilorbit.coadjoint import (
@@ -13,6 +14,7 @@ from nilorbit.coadjoint import (
 )
 from nilorbit.families import abelian, heisenberg, hmn, threadlike
 from nilorbit.strata import (
+    _symbolic_fine_label,
     character_label,
     classify_point,
     compare_fine_labels,
@@ -157,6 +159,23 @@ def test_symbolic_and_sampled_agree_after_dense_basis_change():
             smp = generic_stratum(flag, mode="sampled", samples=50, seed=1)
             assert sym.generic_fine == smp.generic_fine
             assert sym.ind == straight.ind  # the index is basis-independent
+
+
+def test_symbolic_label_matches_leading_block_oracle():
+    from random import Random
+
+    from nilorbit.algebra import change_basis, jordan_holder_flag
+    from nilorbit.families import random_unimodular
+
+    flags = [flag_of(hmn(m, n)) for m in range(1, 5) for n in range(1, 5)]
+    flags += [flag_of(g) for g in (heisenberg(3), abelian(3), threadlike(6))]
+    flags += [flag_of(direct_product(heisenberg(2), abelian(2)))]
+    rng = Random(11)
+    for base in (heisenberg(2), direct_product(heisenberg(2), abelian(1))):
+        for _ in range(3):
+            flags.append(jordan_holder_flag(change_basis(base, random_unimodular(base.dim, rng))))
+    for flag in flags:
+        assert _symbolic_fine_label(flag) == oracle_symbolic_fine_label(flag)
 
 
 def test_index_at_least_center_dim():
