@@ -19,6 +19,7 @@ from .linalg import (
     invert,
     kernel_basis,
     mat_vec,
+    residue,
     transpose,
     unit_vec,
     zero_vec,
@@ -192,7 +193,7 @@ def center(g: LieAlgebra) -> Subspace:
     stacked: list[Vec] = []
     for i in range(m):
         stacked.extend(tuple(r) for r in g.ad_matrix(unit_vec(m, i)))
-    return Subspace.from_vectors(m, kernel_basis(stacked, m))
+    return kernel_basis(stacked, m)
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
@@ -206,24 +207,25 @@ class Flag:
     """A Jordan-Hoelder flag: row j of `rows` spans g_j over g_{j-1}.
 
     Every prefix span must be an ideal; `pair_support` caches, for each pair
-    a < b, the stored-basis expansion of [rows[a], rows[b]] as a sparse list,
-    so that skew forms in flag coordinates are cheap to assemble.
+    a < b with a nonzero bracket, the stored-basis expansion of
+    [rows[a], rows[b]] as a bracket-table entry (a, b, ((i, c), ...)), so that
+    skew forms in flag coordinates are cheap to assemble.
     """
 
     algebra: LieAlgebra
     rows: tuple[Vec, ...]
-    pair_support: dict = field(default_factory=dict, repr=False, compare=False)
+    pair_support: BracketTable = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         g = self.algebra
-        support = {}
+        support = []
         for a in range(g.dim):
             for b in range(a + 1, g.dim):
                 w = g.bracket(self.rows[a], self.rows[b])
                 sparse = tuple((i, c) for i, c in enumerate(w) if c)
                 if sparse:
-                    support[(a, b)] = sparse
-        object.__setattr__(self, "pair_support", support)
+                    support.append((a, b, sparse))
+        object.__setattr__(self, "pair_support", tuple(support))
 
     @property
     def dim(self) -> int:
@@ -237,8 +239,9 @@ def jordan_holder_flag(g: LieAlgebra) -> Flag:
     """Deterministic Jordan-Hoelder flag refining the lower central series.
 
     Walking the series from its deepest nonzero member outward, each layer is
-    filled with the echelon basis vectors of that member in pivot order.  The
-    ideal property of every prefix is re-checked before returning.
+    filled with the echelon basis vectors of that member in pivot order.  Each
+    accepted row is checked at once: [g, rows[a]] must lie in the span of
+    rows[0..a].  Together these checks say that every prefix is an ideal.
     """
     chain, _ = lower_central_series(g)
     m = g.dim
@@ -248,21 +251,14 @@ def jordan_holder_flag(g: LieAlgebra) -> Flag:
         for row in member.basis:
             if acc.add(row):
                 ordered.append(row)
+                for i in range(m):
+                    if not acc.contains(g.bracket(unit_vec(m, i), row)):
+                        raise RuntimeError(
+                            f"flag prefix of dimension {len(ordered)} is not an ideal "
+                            f"(bracket with {g.basis_names[i]} escapes)"
+                        )
     if len(ordered) != m:
         raise RuntimeError("flag construction failed to reach full dimension")
-
-    # verify: [g, g_j] subset of g_j for every prefix
-    for j in range(1, m + 1):
-        pref = RrefAccumulator(m, ordered[:j])
-        for i in range(m):
-            ei = unit_vec(m, i)
-            for a in range(j):
-                w = g.bracket(ei, ordered[a])
-                if not pref.contains(w):
-                    raise RuntimeError(
-                        f"flag prefix of dimension {j} is not an ideal "
-                        f"(bracket with {g.basis_names[i]} escapes)"
-                    )
     return Flag(g, tuple(ordered))
 
 
@@ -293,13 +289,8 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a in range(n):
         for b in range(a + 1, n):
-            w = list(g.bracket(unit_vec(g.dim, comp[a]), unit_vec(g.dim, comp[b])))
-            for row, p in zip(ideal.basis, ideal.pivots):
-                c = w[p]
-                if c:
-                    for k in range(p, g.dim):
-                        if row[k]:
-                            w[k] -= c * row[k]
+            w = g.bracket(unit_vec(g.dim, comp[a]), unit_vec(g.dim, comp[b]))
+            w = residue(ideal.basis, ideal.pivots, w)
             coeffs = {idx: w[col] for idx, col in enumerate(comp) if w[col]}
             if coeffs:
                 brackets[(a, b)] = coeffs

@@ -3,7 +3,9 @@
 Subcommands read the algebra file format on stdin (or --input) and print a
 JSON report whose envelope records the algebra hash, seed, order variant and
 tool version, so identical inputs and seeds give byte-identical output.
-Exit codes: 0 success, 1 mathematical error, 2 usage error.
+Exit codes: 0 success, 1 mathematical error, 2 usage error.  A malformed
+algebra document is a usage error (exit 2) for every command except
+`validate`, which reports it as a "malformed" diagnostic and exits 1.
 """
 
 from __future__ import annotations

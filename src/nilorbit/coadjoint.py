@@ -1,7 +1,9 @@
 """Coadjoint machinery: skew forms, isotropy, jump sets, action, flat orbits.
 
 Conventions: a functional is a coordinate vector in the dual of the stored
-basis; jump indices are 1-based subsets of {1..m} relative to a flag.
+basis; jump indices are 1-based subsets of {1..m} relative to a flag.  Every
+skew form B_xi(x, y) = <xi, [x, y]>, at a point, with the dual coordinates as
+indeterminates or along a one-parameter family, is assembled by ``skew_form``.
 
 Jump labels come from the rank profile of the skew form A = flag_form(flag, xi).
 By definition j belongs to J^k iff e_j lies outside ker A[:k, :k] +
@@ -27,7 +29,7 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .algebra import Flag, LieAlgebra, is_ideal
+from .algebra import BracketTable, Flag, LieAlgebra, is_ideal
 from .linalg import (
     Subspace,
     Vec,
@@ -35,8 +37,10 @@ from .linalg import (
     dot,
     is_zero_vec,
     kernel_basis,
+    mat_vec,
     rank_profile,
     sub_vec,
+    transpose,
     unit_vec,
     vec,
     zero_vec,
@@ -95,43 +99,39 @@ def random_vector(g: LieAlgebra, rng: Random, bound: int = 7) -> Vec:
     return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(g.dim))
 
 
-def bform_matrix(g: LieAlgebra, xi: Functional) -> list[list[Fraction]]:
-    """Skew matrix M_ij = <xi, [X_i, X_j]> in the stored basis."""
-    if xi.algebra.dim != g.dim:
-        raise ValueError("functional dimension does not match the algebra")
-    m = g.dim
-    mat = [[ZERO] * m for _ in range(m)]
-    for i, j, coeffs in g.brackets:
-        val = ZERO
+def skew_form(table: BracketTable, coords: Sequence, zero=ZERO) -> list:
+    """Skew matrix M_ab = sum_k c_k coords[k] over a bracket-shaped table (a, b, ((k, c_k), ...)).
+
+    Coordinates are rationals (a point) or ``Poly`` entries, with ``zero`` their zero.
+    """
+    m = len(coords)
+    mat = [[zero] * m for _ in range(m)]
+    for a, b, coeffs in table:
+        val = zero
         for k, c in coeffs:
-            if xi.coords[k]:
-                val += c * xi.coords[k]
-        if val:
-            mat[i][j] = val
-            mat[j][i] = -val
-    return mat
-
-
-def flag_form(flag: Flag, xi: Functional) -> list[list[Fraction]]:
-    """The same skew form written in flag coordinates."""
-    m = flag.dim
-    mat = [[ZERO] * m for _ in range(m)]
-    for (a, b), sparse in flag.pair_support.items():
-        val = ZERO
-        for i, c in sparse:
-            if xi.coords[i]:
-                val += c * xi.coords[i]
+            if coords[k]:
+                val = val + c * coords[k]
         if val:
             mat[a][b] = val
             mat[b][a] = -val
     return mat
 
 
+def bform_matrix(g: LieAlgebra, xi: Functional) -> list[list[Fraction]]:
+    """Skew matrix M_ij = <xi, [X_i, X_j]> in the stored basis."""
+    if xi.algebra.dim != g.dim:
+        raise ValueError("functional dimension does not match the algebra")
+    return skew_form(g.brackets, xi.coords)
+
+
+def flag_form(flag: Flag, xi: Functional) -> list[list[Fraction]]:
+    """The same skew form written in flag coordinates."""
+    return skew_form(flag.pair_support, xi.coords)
+
+
 def isotropy(g: LieAlgebra, xi: Functional) -> tuple[Subspace, int]:
     """g(xi) = radical of the skew form, and the orbit dimension m - dim g(xi)."""
-    mat = bform_matrix(g, xi)
-    ker = kernel_basis(mat, g.dim)
-    sub = Subspace.from_vectors(g.dim, ker)
+    sub = kernel_basis(bform_matrix(g, xi), g.dim)
     return sub, g.dim - sub.dim
 
 
@@ -169,23 +169,16 @@ class JumpData:
 
 def jump_data(flag: Flag, xi: Functional) -> JumpData:
     """Full jump data; isotropies are returned in stored-basis coordinates."""
-    g = flag.algebra
     m = flag.dim
     form = flag_form(flag, xi)
+    columns = transpose(flag.rows)  # sends flag coordinates to stored ones
     partials = []
     for k in range(1, m + 1):
         block = [row[:k] for row in form[:k]]
-        rows = []
-        for kv in kernel_basis(block, k):
-            w = [ZERO] * m
-            for a, c in enumerate(kv):
-                if c:
-                    for idx, val in enumerate(flag.rows[a]):
-                        if val:
-                            w[idx] += c * val
-            rows.append(tuple(w))
+        # a kernel vector has k flag coordinates; dot() stops at the shorter vector
+        rows = [mat_vec(columns, kv) for kv in kernel_basis(block, k).basis]
         partials.append(Subspace.from_vectors(m, rows))
-    fine = fine_jump_tuple(flag, xi)
+    fine = fine_tuple_from_pivots(rank_profile(form, m))
     coarse = fine[-1] if m else ()
     iso = partials[-1] if m else Subspace.zero(0)
     data = JumpData(iso, tuple(partials), coarse, fine, m - iso.dim)

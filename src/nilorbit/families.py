@@ -22,13 +22,12 @@ from .algebra import (
 )
 from .coadjoint import (
     Functional,
-    bform_matrix,
     dual_functional_by_name,
     is_flat_orbit,
     isotropy,
     random_functional,
 )
-from .linalg import Subspace, rank, unit_vec
+from .linalg import Subspace, unit_vec
 
 
 @dataclass(frozen=True)
@@ -277,17 +276,11 @@ def recognize_heisenberg_times_abelian(g: LieAlgebra) -> Recognition | None:
         return None
     pivot = der.pivots[0]
     xi = Functional(g, unit_vec(g.dim, pivot))  # <xi, z> = 1 since z is an RREF row
-    mat = bform_matrix(g, xi)
-    r = rank(mat, g.dim)
-    if r % 2 != 0 or r == 0:
-        return None
-    iso, _ = isotropy(g, xi)
-    if not iso.contains(z_vec):
+    iso, r = isotropy(g, xi)  # r = m - dim g(xi), the rank of the skew form
+    if r % 2 != 0 or r == 0 or not iso.contains(z_vec):
         return None
     d = r // 2
     k = g.dim - 2 * d - 1
-    if iso.dim != k + 1:
-        return None
     # [g, g] = R*z makes every skew form a multiple of this one: rank <= 2d, so ind = k + 1
     note = "index 1 confirmed: single generic layer over the characters" if k == 0 else None
     return Recognition(d, k, note)

@@ -89,6 +89,8 @@ def algebra_from_dict(doc) -> LieAlgebra:
             raise FormatError(f"duplicate bracket pair ({i}, {j})")
         parsed = {}
         for k, c in coeffs.items():
+            if not (k.isascii() and k.isdigit()):
+                raise FormatError(f"bracket target key {k!r} in ({i}, {j}) must be a decimal index")
             ki = int(k)
             if not 1 <= ki <= dim:
                 raise FormatError(f"bracket target {ki} out of range in ({i}, {j})")

@@ -19,7 +19,7 @@ from random import Random
 from typing import Sequence
 
 from .algebra import LieAlgebra, center, is_ideal
-from .coadjoint import Functional, bform_matrix, is_flat_orbit, isotropy
+from .coadjoint import Functional, bform_matrix, is_flat_orbit, isotropy, skew_form
 from .linalg import Subspace, ZERO, dot, rank as mat_rank, sub_vec
 from .polys import Poly, poly_rank_profile, ucoeffs, udet, udiv_exact, ugcd, upoly
 
@@ -128,16 +128,7 @@ def direction_family(g: LieAlgebra, xi_t: OneParamFunctional) -> DirectionFamily
     of V(t) away from finitely many parameters.
     """
     m = g.dim
-    zero = Poly.zero(1)
-    form = [[zero] * m for _ in range(m)]
-    for i, j, coeffs in g.brackets:
-        entry = zero
-        for k, c in coeffs:
-            entry = entry + xi_t.coord_polys[k].scale(c)
-        if not entry.is_zero:
-            form[i][j] = entry
-            form[j][i] = -entry
-    _, rows = poly_rank_profile(form, m)
+    _, rows = poly_rank_profile(skew_form(g.brackets, xi_t.coord_polys, Poly.zero(1)), m)
     if not rows:
         raise LimitError("the family is identically a character family (zero form)")
     return DirectionFamily(tuple(tuple(r) for r in rows), len(rows), m)

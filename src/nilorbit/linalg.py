@@ -2,6 +2,12 @@
 
 All vectors are tuples of ``fractions.Fraction`` and all decisions (rank,
 membership, kernels) are exact.  Matrices are lists of row vectors.
+
+There are two elimination routines.  ``RrefAccumulator`` builds the
+canonical reduced row echelon form, from which come every ``Subspace``
+basis, membership test (``residue``), kernel and inverse.  ``rank_profile``
+is a fraction-free pass that only finds the pivot row of each column; it
+gives ranks and jump labels.
 """
 
 from __future__ import annotations
@@ -45,6 +51,18 @@ def is_zero_vec(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
 
 
+def residue(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int], v: Sequence[Fraction]) -> list[Fraction]:
+    """v minus its combination of RREF rows with the given pivot columns; zero iff v is in their span."""
+    w = list(v)
+    for row, p in zip(rows, pivots):
+        c = w[p]
+        if c:
+            for k in range(p, len(w)):
+                if row[k]:
+                    w[k] -= c * row[k]
+    return w
+
+
 class RrefAccumulator:
     """Mutable reduced-row-echelon accumulator for incremental span building."""
 
@@ -57,14 +75,7 @@ class RrefAccumulator:
 
     def reduce(self, v: Sequence[Fraction]) -> list[Fraction]:
         """Residue of v modulo the current row space."""
-        w = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            c = w[p]
-            if c:
-                for k in range(p, self.ncols):
-                    if row[k]:
-                        w[k] -= c * row[k]
-        return w
+        return residue(self.rows, self.pivots, v)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return is_zero_vec(self.reduce(v))
@@ -97,29 +108,17 @@ class RrefAccumulator:
         return tuple(tuple(r) for r in self.rows), tuple(self.pivots)
 
 
-def rref(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-    """Canonical RREF of the row space; returns (nonzero rows, pivot columns)."""
+def kernel_basis(rows: Iterable[Sequence[Fraction]], ncols: int) -> "Subspace":
+    """The right kernel {v : A v = 0} as a Subspace."""
     acc = RrefAccumulator(ncols, rows)
-    return acc.snapshot()
-
-
-def rank(rows: Iterable[Sequence[Fraction]], ncols: int) -> int:
-    return RrefAccumulator(ncols, rows).rank
-
-
-def kernel_basis(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[Vec, ...]:
-    """RREF basis of the right kernel {v : A v = 0}."""
-    red, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     out = []
-    for f in free:
+    for f in sorted(set(range(ncols)) - set(acc.pivots)):
         v = [ZERO] * ncols
         v[f] = ONE
-        for row, p in zip(red, pivots):
+        for row, p in zip(acc.rows, acc.pivots):
             v[p] = -row[f]
         out.append(v)
-    return rref(out, ncols)[0]
+    return Subspace.from_vectors(ncols, out)
 
 
 def rank_profile(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[int | None, ...]:
@@ -159,6 +158,10 @@ def rank_profile(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[int | 
     return tuple(pivot_row)
 
 
+def rank(rows: Iterable[Sequence[Fraction]], ncols: int) -> int:
+    return sum(1 for r in rank_profile(rows, ncols) if r is not None)
+
+
 def mat_vec(rows: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
     return tuple(dot(r, v) for r in rows)
 
@@ -167,7 +170,7 @@ def invert(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Inverse of a square rational matrix; raises ValueError if singular."""
     n = len(rows)
     aug = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(rows)]
-    red, pivots = rref(aug, 2 * n)
+    red, pivots = RrefAccumulator(2 * n, aug).snapshot()
     if list(pivots[:n]) != list(range(n)) or len(red) != n:
         raise ValueError("matrix is singular")
     return [list(r[n:]) for r in red]
@@ -187,8 +190,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
-        rows, pivots = rref(vectors, ambient_dim)
-        return cls(ambient_dim, rows, pivots)
+        return cls(ambient_dim, *RrefAccumulator(ambient_dim, vectors).snapshot())
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -203,14 +205,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        w = list(v)
-        for row, p in zip(self.basis, self.pivots):
-            c = w[p]
-            if c:
-                for k in range(p, self.ambient_dim):
-                    if row[k]:
-                        w[k] -= c * row[k]
-        return is_zero_vec(w)
+        return is_zero_vec(residue(self.basis, self.pivots, v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -220,8 +215,7 @@ class Subspace:
 
     def perp(self) -> "Subspace":
         """Annihilator in the dual coordinates: {w : <w, v> = 0 for all v here}."""
-        ker = kernel_basis(self.basis, self.ambient_dim)
-        return Subspace.from_vectors(self.ambient_dim, ker)
+        return kernel_basis(self.basis, self.ambient_dim)
 
     def __contains__(self, v: Sequence[Fraction]) -> bool:
         return self.contains(v)

@@ -47,6 +47,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -75,6 +78,10 @@ class Poly:
                 m = tuple(a + b for a, b in zip(m1, m2))
                 data[m] = data.get(m, Fraction(0)) + c1 * c2
         return Poly.make(self.nvars, data)
+
+    def __rmul__(self, c) -> "Poly":
+        """A rational times the polynomial (the left operand is not a Poly)."""
+        return self.scale(c)
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)

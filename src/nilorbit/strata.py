@@ -25,6 +25,7 @@ from .coadjoint import (
     fine_jump_tuple,
     fine_tuple_from_pivots,
     random_functional,
+    skew_form,
 )
 from .polys import Poly, poly_rank_profile
 
@@ -87,15 +88,8 @@ class IndexResult:
 def _symbolic_fine_label(flag: Flag) -> FineLabel:
     """Generic fine label with the dual coordinates treated as indeterminates."""
     m = flag.dim
-    zero = Poly.zero(m)
-    form = [[zero] * m for _ in range(m)]
-    for (a, b), sparse in flag.pair_support.items():
-        entry = Poly.make(
-            m, {tuple(1 if v == i else 0 for v in range(m)): c for i, c in sparse}
-        )
-        form[a][b] = entry
-        form[b][a] = -entry
-    pivot_row, _ = poly_rank_profile(form, m)
+    coords = [Poly.variable(m, i) for i in range(m)]
+    pivot_row, _ = poly_rank_profile(skew_form(flag.pair_support, coords, Poly.zero(m)), m)
     return fine_tuple_from_pivots(pivot_row)
 
 

@@ -107,7 +107,7 @@ def oracle_membership_fine_tuple(g, flag_rows, xi_coords):
     out = []
     for k in range(1, m + 1):
         block = [row[:k] for row in form[:k]]
-        acc = RrefAccumulator(k, kernel_basis(block, k))
+        acc = RrefAccumulator(k, kernel_basis(block, k).basis)
         jumps = []
         for j in range(k):
             e = unit_vec(k, j)
@@ -133,7 +133,7 @@ def oracle_symbolic_fine_label(flag):
     m = flag.dim
     zero = Poly.zero(m)
     form = [[zero] * m for _ in range(m)]
-    for (a, b), sparse in flag.pair_support.items():
+    for a, b, sparse in flag.pair_support:
         entry = Poly.make(m, {tuple(1 if v == i else 0 for v in range(m)): c for i, c in sparse})
         form[a][b] = entry
         form[b][a] = -entry

@@ -183,6 +183,10 @@ def test_quotient_by_non_coordinate_ideal():
     skew = Subspace.from_vectors(3, [vec([1, 0, 0]), vec([0, 1, 1])])
     q = quotient(g, skew)
     assert q.dim == 1 and q.brackets == ()
+    # [X1, Y1] = Z, and Z = -A1 modulo the ideal spanned by Z + A1
+    g = direct_product(heisenberg(1), abelian(1))
+    q = quotient(g, Subspace.from_vectors(4, [vec([1, 0, 0, 1])]))
+    assert q.basis_names == ("X1", "Y1", "A1") and q.brackets == ((0, 1, ((2, F(-1)),)),)
 
 
 def test_direct_product():

@@ -71,6 +71,9 @@ _MALFORMED = {
     "dim-float": dict(_H3, dim=2.7),
     "dim-bool": dict(_H3, dim=True),
     "duplicate-names": dict(_H3, basis=["Z", "X", "X"]),
+    "coeff-key-word": dict(_H3, brackets=[{"i": 2, "j": 3, "coeffs": {"x": "1"}}]),
+    "coeff-key-underscore": dict(_H3, brackets=[{"i": 2, "j": 3, "coeffs": {" 0_1": "1"}}]),
+    "coeff-key-sign": dict(_H3, brackets=[{"i": 2, "j": 3, "coeffs": {"+1": "1"}}]),
 }
 
 

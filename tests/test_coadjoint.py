@@ -184,6 +184,40 @@ def test_rank_profile_of_form_is_fixed_point_free_involution():
                     assert r != c and pivot_row[r] == c
 
 
+def test_skew_form_agrees_across_entry_types(monkeypatch):
+    """The Poly forms of the symbolic label and of a direction family, evaluated, are the point forms."""
+    from nilorbit import limits, strata
+    from nilorbit.polys import upoly
+
+    captured = []
+
+    def capture(real):
+        def spy(rows, ncols):
+            captured.append(rows)
+            return real(rows, ncols)
+
+        return spy
+
+    monkeypatch.setattr(strata, "poly_rank_profile", capture(strata.poly_rank_profile))
+    monkeypatch.setattr(limits, "poly_rank_profile", capture(limits.poly_rank_profile))
+    rng = Random(14)
+    for g in (hmn(3, 2), threadlike(5), dense(direct_product(heisenberg(2), abelian(1)), 4), dense(hmn(2, 2), 5)):
+        flag = flag_of(g)
+        strata._symbolic_fine_label(flag)
+        form = captured.pop()
+        for xi in sample_points(flag, rng, 6):
+            evaluated = [[p.evaluate(xi.coords) for p in row] for row in form]
+            assert evaluated == flag_form(flag, xi)
+        xi_t = limits.OneParamFunctional(
+            g, tuple(upoly([rng.randint(-3, 3) for _ in range(3)]) for _ in range(g.dim))
+        )
+        limits.direction_family(g, xi_t)
+        form = captured.pop()
+        for t in (F(0), F(2), F(-1, 3)):
+            evaluated = [[p.evaluate((t,)) for p in row] for row in form]
+            assert evaluated == bform_matrix(g, xi_t.at(t))
+
+
 # --- jump data ---------------------------------------------------------------
 
 

@@ -11,7 +11,6 @@ from nilorbit.linalg import (
     mat_vec,
     rank,
     rank_profile,
-    rref,
     unit_vec,
     vec,
 )
@@ -21,28 +20,28 @@ F = Fraction
 
 def test_rref_canonical():
     rows = [vec([2, 4, 6]), vec([1, 2, 4])]
-    red, pivots = rref(rows, 3)
-    assert pivots == (0, 2)
-    assert red == (vec([1, 2, 0]), vec([0, 0, 1]))
+    sub = Subspace.from_vectors(3, rows)
+    assert sub.pivots == (0, 2)
+    assert sub.basis == (vec([1, 2, 0]), vec([0, 0, 1]))
 
 
 def test_rref_is_basis_independent():
     a = [vec([1, 1, 0]), vec([0, 1, 1])]
     b = [vec([1, 2, 1]), vec([2, 3, 1])]  # same row space
-    assert rref(a, 3) == rref(b, 3)
+    assert Subspace.from_vectors(3, a) == Subspace.from_vectors(3, b)
 
 
 def test_kernel_basis_annihilates():
     rows = [vec([1, 2, 3, 4]), vec([0, 1, 1, 1])]
     ker = kernel_basis(rows, 4)
-    assert len(ker) == 2
-    for v in ker:
+    assert len(ker.basis) == 2
+    for v in ker.basis:
         assert all(c == 0 for c in mat_vec(rows, v))
 
 
 def test_kernel_of_full_rank_is_zero():
     rows = [unit_vec(3, i) for i in range(3)]
-    assert kernel_basis(rows, 3) == ()
+    assert kernel_basis(rows, 3).basis == ()
 
 
 def test_rank_counts_independent_rows():
@@ -103,6 +102,7 @@ def test_rank_profile_counts_every_leading_block_rank():
         ]
         pivot_row = rank_profile(rows, ncols)
         assert len(pivot_row) == ncols
+        assert rank(rows, ncols) == oracle_rank(rows)
         for k in range(nrows + 1):
             for j in range(ncols + 1):
                 pivots = sum(1 for c in range(j) if pivot_row[c] is not None and pivot_row[c] < k)
