@@ -84,18 +84,15 @@ class LieAlgebra:
         return tuple(out)
 
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
+        """[u, v]; a table entry whose two products are both zero costs no arithmetic."""
         out = [ZERO] * self.dim
         for i, j, coeffs in self.brackets:
-            c = u[i] * v[j] - u[j] * v[i]
-            if c:
-                for k, a in coeffs:
-                    out[k] += c * a
+            if (u[i] and v[j]) or (u[j] and v[i]):
+                c = u[i] * v[j] - u[j] * v[i]
+                if c:
+                    for k, a in coeffs:
+                        out[k] += c * a
         return tuple(out)
-
-    def ad_matrix(self, x: Sequence[Fraction]) -> list[list[Fraction]]:
-        """Matrix of ad(x): columns are [x, X_j]."""
-        cols = [self.bracket(x, unit_vec(self.dim, j)) for j in range(self.dim)]
-        return transpose(cols) if cols else []
 
 
 def lie_algebra(
@@ -188,12 +185,18 @@ def lower_central_series(g: LieAlgebra) -> tuple[list[Subspace], int]:
 
 
 def center(g: LieAlgebra) -> Subspace:
-    """Joint kernel of all ad(X_i)."""
+    """Joint kernel of all ad(X_i), whose rows are read off the bracket table.
+
+    The X_k coefficient c of [X_i, X_j] is entry (k, j) of ad(X_i) and, with
+    sign -c, entry (k, i) of ad(X_j); only the nonzero rows are stacked.
+    """
     m = g.dim
-    stacked: list[Vec] = []
-    for i in range(m):
-        stacked.extend(tuple(r) for r in g.ad_matrix(unit_vec(m, i)))
-    return kernel_basis(stacked, m)
+    rows: dict[tuple[int, int], list[Fraction]] = {}
+    for i, j, coeffs in g.brackets:
+        for k, c in coeffs:
+            rows.setdefault((i, k), [ZERO] * m)[j] += c
+            rows.setdefault((j, k), [ZERO] * m)[i] -= c
+    return kernel_basis(rows.values(), m)
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:

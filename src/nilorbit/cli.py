@@ -5,7 +5,11 @@ JSON report whose envelope records the algebra hash, seed, order variant and
 tool version, so identical inputs and seeds give byte-identical output.
 Exit codes: 0 success, 1 mathematical error, 2 usage error.  A malformed
 algebra document is a usage error (exit 2) for every command except
-`validate`, which reports it as a "malformed" diagnostic and exits 1.
+`validate`, which reports it as a "malformed" diagnostic and exits 1.  A
+failed internal invariant (a RuntimeError) is reported on stderr as one
+line, "internal error in <command>: <message>", with the algebra hash when
+an algebra was read and the seed, so that the run can be reproduced; it
+exits 1.
 """
 
 from __future__ import annotations
@@ -57,7 +61,8 @@ def _read_algebra(args):
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return algebra_from_json(text)
+    args.algebra = algebra_from_json(text)  # named in an internal-error report
+    return args.algebra
 
 
 def _require_valid(g):
@@ -435,6 +440,11 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RuntimeError as e:
+        algebra = getattr(args, "algebra", None)
+        where = f"algebra_sha256 {algebra_hash(algebra)}, " if algebra is not None else ""
+        print(f"internal error in {args.command}: {e} ({where}seed {args.seed})", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -273,7 +273,7 @@ def is_flat_orbit(
             escape = x
     if ideal and inside != samples:
         raise RuntimeError(
-            "internal error: isotropy is an ideal but a sampled coadjoint move "
+            "isotropy is an ideal but a sampled coadjoint move "
             "left xi + g(xi)^perp"
         )
     cert = FlatnessCertificate(ideal, samples, inside, escape)

@@ -22,12 +22,13 @@ from .algebra import (
 )
 from .coadjoint import (
     Functional,
+    bform_matrix,
     dual_functional_by_name,
     is_flat_orbit,
     isotropy,
     random_functional,
 )
-from .linalg import Subspace, unit_vec
+from .linalg import Subspace, rank, unit_vec
 
 
 @dataclass(frozen=True)
@@ -263,24 +264,24 @@ def recognize_heisenberg_times_abelian(g: LieAlgebra) -> Recognition | None:
     """Detect g isomorphic to heisenberg(d) x abelian(k); None otherwise.
 
     The test is basis-independent: [g, g] must be a central line R*z, and
-    the skew form of any functional with <xi, z> = 1 must have rank 2d and
-    kernel of dimension k + 1 containing z.  The index is then k + 1, so
-    when k = 0 the note records that the one-layer-over-characters picture
-    applies.
+    then the skew form of any functional with <xi, z> = 1 has rank 2d > 0
+    (some bracket is a nonzero multiple of z) and a kernel of dimension
+    k + 1 containing z.  The index is then k + 1, so when k = 0 the note
+    records that the one-layer-over-characters picture applies.  The
+    centrality test is what rejects a non-nilpotent g whose [g, g] is a line.
     """
     der = derived_subalgebra(g)
     if der.dim != 1:
         return None
+    m = g.dim
     z_vec = der.basis[0]
-    if not center(g).contains(z_vec):
+    if any(any(g.bracket(unit_vec(m, i), z_vec)) for i in range(m)):
         return None
     pivot = der.pivots[0]
-    xi = Functional(g, unit_vec(g.dim, pivot))  # <xi, z> = 1 since z is an RREF row
-    iso, r = isotropy(g, xi)  # r = m - dim g(xi), the rank of the skew form
-    if r % 2 != 0 or r == 0 or not iso.contains(z_vec):
-        return None
+    xi = Functional(g, unit_vec(m, pivot))  # <xi, z> = 1 since z is an RREF row
+    r = rank(bform_matrix(g, xi), m)
     d = r // 2
-    k = g.dim - 2 * d - 1
+    k = m - 2 * d - 1
     # [g, g] = R*z makes every skew form a multiple of this one: rank <= 2d, so ind = k + 1
     note = "index 1 confirmed: single generic layer over the characters" if k == 0 else None
     return Recognition(d, k, note)

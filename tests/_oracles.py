@@ -7,10 +7,12 @@ so agreement with the package is a two-route check.  The one exception is
 ``oracle_membership_fine_tuple``: it follows the definition of the jump sets
 literally, one isotropy kernel and one membership scan per leading block,
 and builds both with the library's RREF.  It shares that arithmetic but not
-the rank-profile pass the package labels points with.  Likewise
+the rank-profile pass the package labels points with, and its form comes
+from ``oracle_bracket``.  Likewise
 ``oracle_symbolic_fine_label`` eliminates over the library's ``Poly`` type,
 but one leading block at a time with lowest-degree pivots instead of the
-package's single rank-profile pass.
+package's single rank-profile pass.  ``oracle_bracket`` is the dense
+bilinear sum over every table entry, with no zero skipping.
 """
 
 from __future__ import annotations
@@ -39,6 +41,22 @@ def oracle_rank(rows) -> int:
     return r
 
 
+def oracle_bracket(g, u, v):
+    """[u, v] = sum over the table of (u_i v_j - u_j v_i) c^k_ij, every product taken."""
+    out = [Fraction(0)] * g.dim
+    for i, j, coeffs in g.brackets:
+        c = u[i] * v[j] - u[j] * v[i]
+        for k, a in coeffs:
+            out[k] += c * a
+    return tuple(out)
+
+
+def oracle_ad_matrix(g, x):
+    """Matrix of ad(x): column j is [x, X_j], by the dense bilinear sum."""
+    cols = [oracle_bracket(g, x, unit_vec(g.dim, j)) for j in range(g.dim)]
+    return [list(row) for row in zip(*cols)]
+
+
 def oracle_det(rows) -> Fraction:
     """Determinant by expansion along the first column (exponential, tiny inputs)."""
     n = len(rows)
@@ -62,7 +80,7 @@ def oracle_form_matrix(g, flag_rows, xi_coords):
     out = [[Fraction(0)] * m for _ in range(m)]
     for a in range(m):
         for b in range(a + 1, m):
-            w = g.bracket(flag_rows[a], flag_rows[b])
+            w = oracle_bracket(g, flag_rows[a], flag_rows[b])
             val = sum((c * x for c, x in zip(w, xi_coords) if c and x), Fraction(0))
             out[a][b] = val
             out[b][a] = -val

@@ -3,6 +3,8 @@ from random import Random
 
 import pytest
 
+from _oracles import oracle_ad_matrix, oracle_bracket, oracle_rank
+
 from nilorbit.algebra import (
     NotAnIdealError,
     center,
@@ -17,7 +19,7 @@ from nilorbit.algebra import (
     validate_algebra,
 )
 from nilorbit.families import abelian, heisenberg, hmn, random_unimodular, threadlike
-from nilorbit.linalg import Subspace, unit_vec, vec
+from nilorbit.linalg import Subspace, mat_vec, unit_vec, vec
 
 F = Fraction
 
@@ -103,6 +105,39 @@ def test_center_hmn_cases():
     assert center(g) == span_of(g, "Y2", "X3")
     g = abelian(4)
     assert center(g) == Subspace.full(4)
+
+
+def _sparse_and_dense(seed):
+    rng = Random(seed)
+    for g in (hmn(2, 2), hmn(3, 2), threadlike(5), direct_product(heisenberg(2), abelian(2))):
+        yield g
+        yield change_basis(g, random_unimodular(g.dim, rng))
+
+
+def test_center_equals_kernel_of_stacked_oracle_ad_matrices():
+    for g in list(_sparse_and_dense(3)) + [abelian(3), abelian(0)]:
+        stacked = [row for i in range(g.dim) for row in oracle_ad_matrix(g, unit_vec(g.dim, i))]
+        z = center(g)
+        assert z.dim == g.dim - oracle_rank(stacked)
+        assert all(c == 0 for v in z.basis for c in mat_vec(stacked, v))
+
+
+def test_bracket_equals_dense_bilinear_sum():
+    rng = Random(4)
+
+    def draw(m):
+        return tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6 else F(0) for _ in range(m))
+
+    for g in _sparse_and_dense(5):
+        m = g.dim
+        units = [unit_vec(m, i) for i in range(m)]
+        for u in units:
+            for v in units + [draw(m) for _ in range(3)]:
+                assert g.bracket(u, v) == oracle_bracket(g, u, v)
+                assert g.bracket(v, u) == oracle_bracket(g, v, u)
+        for _ in range(20):
+            u, v = draw(m), draw(m)
+            assert g.bracket(u, v) == oracle_bracket(g, u, v)
 
 
 def test_derived_subalgebra():

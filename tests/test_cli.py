@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
+import nilorbit.cli
 from nilorbit.cli import main
 from nilorbit.families import heisenberg
-from nilorbit.formats import FormatError, algebra_from_json, algebra_to_json
+from nilorbit.formats import FormatError, algebra_from_json, algebra_hash, algebra_to_json
 
 
 def run_cli(args, stdin_text=None, capsys=None, monkeypatch=None):
@@ -190,6 +191,19 @@ def test_text_format(h3_file, capsys):
     code, out = run_cli(["index", "-i", h3_file, "--format", "text"], capsys=capsys)
     assert code == 0
     assert "report.ind = 1" in out
+
+
+def test_internal_error_is_one_line_with_hash_and_seed(h3_file, capsys, monkeypatch):
+    def broken(g):
+        raise RuntimeError("flag prefix of dimension 2 is not an ideal")
+
+    monkeypatch.setattr(nilorbit.cli, "jordan_holder_flag", broken)
+    code = main(["flag", "-i", h3_file, "--seed", "17"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("internal error in flag: flag prefix of dimension 2 is not an ideal")
+    assert algebra_hash(heisenberg(1)) in err and "seed 17" in err
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_usage_error_without_subcommand():

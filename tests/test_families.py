@@ -5,7 +5,15 @@ import pytest
 
 from _oracles import oracle_det
 
-from nilorbit.algebra import center, change_basis, direct_product, jordan_holder_flag, validate_algebra
+from nilorbit.algebra import (
+    center,
+    change_basis,
+    derived_subalgebra,
+    direct_product,
+    jordan_holder_flag,
+    lie_algebra,
+    validate_algebra,
+)
 from nilorbit.families import (
     FamilySpec,
     abelian,
@@ -123,6 +131,13 @@ def test_recognize_note_and_index_without_symbolic_elimination():
                 assert rec is not None and (rec.d, rec.k) == (d, k)
                 assert (rec.note is not None) == (k == 0)
                 assert generic_stratum(jordan_holder_flag(h), mode="symbolic").ind == k + 1
+
+
+def test_recognize_rejects_non_nilpotent_with_line_derived_algebra():
+    # aff(1): [X, Y] = Y, so [g, g] = R*Y is a line, but not a central one
+    g = lie_algebra(2, ["X", "Y"], {(0, 1): {1: 1}})
+    assert derived_subalgebra(g).dim == 1
+    assert recognize_heisenberg_times_abelian(g) is None
 
 
 def test_recognize_abelian_fails():

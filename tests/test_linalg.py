@@ -39,6 +39,31 @@ def test_kernel_basis_annihilates():
         assert all(c == 0 for c in mat_vec(rows, v))
 
 
+def test_kernel_basis_is_whole_kernel_with_dependent_rows():
+    # rows are random rational rows, their repeats, combinations and zero rows
+    rng = Random(12)
+    for _ in range(60):
+        ncols = rng.randint(0, 6)
+        rows = [
+            [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else F(0) for _ in range(ncols)]
+            for _ in range(rng.randint(0, 4))
+        ]
+        for _ in range(rng.randint(0, 8)):
+            kind = rng.randrange(3)
+            if kind == 0 and rows:
+                rows.append(list(rng.choice(rows)))
+            elif kind == 1 and rows:
+                a, b = rng.choice(rows), rng.choice(rows)
+                s, t = F(rng.randint(-2, 2), rng.randint(1, 2)), F(rng.randint(-2, 2))
+                rows.append([s * x + t * y for x, y in zip(a, b)])
+            else:
+                rows.append([F(0)] * ncols)
+            rng.shuffle(rows)
+        ker = kernel_basis(rows, ncols)
+        assert ker.dim == ncols - oracle_rank(rows)
+        assert all(c == 0 for v in ker.basis for c in mat_vec(rows, v))
+
+
 def test_kernel_of_full_rank_is_zero():
     rows = [unit_vec(3, i) for i in range(3)]
     assert kernel_basis(rows, 3).basis == ()
