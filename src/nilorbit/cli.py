@@ -36,6 +36,7 @@ from .formats import (
     algebra_to_json,
     dumps_canonical,
     fine_label_to_list,
+    frac_parse,
     frac_str,
     functional_from_list,
     functional_to_list,
@@ -321,12 +322,13 @@ def cmd_limit(args) -> int:
         raise FormatError(f"family must be a JSON array of polynomial strings: {e}") from e
     if not isinstance(coords, list):
         raise FormatError("family must be a JSON array of polynomial strings")
-    xi_t = one_param_functional(g, [str(c) for c in coords], t0=Fraction(args.t0))
+    t0 = frac_parse(args.t0)
+    xi_t = one_param_functional(g, [str(c) for c in coords], t0=t0)
     rep = orbit_limit_set(
         g, xi_t, sample_budget=args.budget, seed=args.seed, bound=args.bound
     )
     report = {
-        "t0": frac_str(Fraction(args.t0)),
+        "t0": frac_str(t0),
         "generic_rank": rep.generic_rank,
         "degenerated": rep.degenerated,
         "limit_base": functional_to_list(rep.limit_base),
@@ -428,10 +430,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FormatError as e:
+    except (OSError, FormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (MathError, NonNilpotentError, NotAnIdealError, LimitError) as e:

@@ -9,9 +9,9 @@ Jump labels come from the rank profile of the skew form A = flag_form(flag, xi).
 By definition j belongs to J^k iff e_j lies outside ker A[:k, :k] +
 <e_1..e_{j-1}>, that is iff column j of A[:k, :k] is independent of the
 columns before it: rank A[:k, :j] > rank A[:k, :j-1].  One elimination pass
-over the rows of A (``linalg.rank_profile``) gives the pivot row of every
-column, and rank A[:k, :j] is the number of pivots inside that leading
-block, so
+over the rows of A, scaled to integers (``linalg.rank_profile``), gives the
+pivot row of every column, and rank A[:k, :j] is the number of pivots inside
+that leading block, so
 
     J^k = {j <= k : pivot_row(j) <= k},    J = J^m = the pivot columns.
 
@@ -19,7 +19,8 @@ For a skew A the pivot map is a fixed-point-free involution, so J^k is the
 union of the pivot pairs inside {1..k}.  This is the rank profile matrix of
 Dumas, Pernet & Sultan (JSC 2017) and Jeannerod, Pernet & Storjohann
 (JSC 2013); it replaces one kernel and membership scan per leading block,
-O(m^4) per point, with one O(m^3) pass.
+O(m^4) per point, with one O(m^3) pass.  The symbolic generic label runs the
+same loop (``linalg.echelon_profile``) over the ``Poly`` form.
 """
 
 from __future__ import annotations

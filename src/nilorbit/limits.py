@@ -20,8 +20,8 @@ from typing import Sequence
 
 from .algebra import LieAlgebra, center, is_ideal
 from .coadjoint import Functional, bform_matrix, is_flat_orbit, isotropy, skew_form
-from .linalg import Subspace, ZERO, dot, rank as mat_rank, sub_vec
-from .polys import Poly, poly_rank_profile, ucoeffs, udet, udiv_exact, ugcd, upoly
+from .linalg import Subspace, ZERO, dot, echelon_profile, rank as mat_rank, sub_vec
+from .polys import Poly, strip_row, ucoeffs, udet, udiv_exact, ugcd, upoly
 
 
 class LimitError(ValueError):
@@ -45,8 +45,10 @@ class OneParamFunctional:
         return Functional(self.algebra, tuple(p.evaluate((t,)) for p in self.coord_polys))
 
 
+# a denominator is a positive integer, so "1/0" and "t/0" do not match
 _TERM_RE = re.compile(
-    r"^(?P<coef>[+-]?\d+(?:/\d+)?)?\*?(?P<var>t(?:\^(?P<exp>\d+))?)?(?:/(?P<den>\d+))?$"
+    r"^(?P<coef>[+-]?\d+(?:/\d*[1-9]\d*)?)?\*?(?P<var>t(?:\^(?P<exp>\d+))?)?"
+    r"(?:/(?P<den>\d*[1-9]\d*))?$"
 )
 
 
@@ -128,7 +130,7 @@ def direction_family(g: LieAlgebra, xi_t: OneParamFunctional) -> DirectionFamily
     of V(t) away from finitely many parameters.
     """
     m = g.dim
-    _, rows = poly_rank_profile(skew_form(g.brackets, xi_t.coord_polys, Poly.zero(1)), m)
+    _, rows = echelon_profile(skew_form(g.brackets, xi_t.coord_polys, Poly.zero(1)), m, strip_row)
     if not rows:
         raise LimitError("the family is identically a character family (zero form)")
     return DirectionFamily(tuple(tuple(r) for r in rows), len(rows), m)

@@ -3,11 +3,11 @@
 All vectors are tuples of ``fractions.Fraction`` and all decisions (rank,
 membership, kernels) are exact.  Matrices are lists of row vectors.
 
-There are two elimination routines.  ``RrefAccumulator`` builds the
-canonical reduced row echelon form, from which come every ``Subspace``
-basis, membership test (``residue``), kernel and inverse.  ``rank_profile``
-is a fraction-free pass that only finds the pivot row of each column; it
-gives ranks and jump labels.
+``RrefAccumulator`` builds the canonical reduced row echelon form, from
+which come every ``Subspace`` basis, membership test (``residue``), kernel
+and inverse.  ``echelon_profile`` is the one fraction-free rank-profile
+loop, over integer rows (``rank_profile``: ranks and jump labels at points)
+and over ``Poly`` rows (symbolic labels and direction families).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 
@@ -87,7 +87,7 @@ class RrefAccumulator:
         if p is None:
             return False
         inv = ONE / w[p]
-        w = [a * inv for a in w]
+        w = [a * inv if a else ZERO for a in w]
         # clear the new pivot column in the existing rows
         for row in self.rows:
             c = row[p]
@@ -109,53 +109,75 @@ class RrefAccumulator:
 
 
 def kernel_basis(rows: Iterable[Sequence[Fraction]], ncols: int) -> "Subspace":
-    """The right kernel {v : A v = 0} as a Subspace."""
-    acc = RrefAccumulator(ncols, rows)
-    out = []
-    for f in sorted(set(range(ncols)) - set(acc.pivots)):
+    """The right kernel {v : A v = 0} as a Subspace, from one RREF.
+
+    With A's columns reduced in reverse order, each row's pivot q is its last
+    nonzero entry, so the kernel vector e_f - sum row[f] e_q of a free column f
+    is zero before f and at every other free column: canonical RREF already.
+    """
+    acc = RrefAccumulator(ncols, (r[::-1] for r in rows))
+    reduced = {ncols - 1 - p: row[::-1] for row, p in zip(acc.rows, acc.pivots)}
+    free = tuple(f for f in range(ncols) if f not in reduced)
+    basis = []
+    for f in free:
         v = [ZERO] * ncols
         v[f] = ONE
-        for row, p in zip(acc.rows, acc.pivots):
-            v[p] = -row[f]
-        out.append(v)
-    return Subspace.from_vectors(ncols, out)
+        for q, row in reduced.items():
+            v[q] = -row[f]
+        basis.append(tuple(v))
+    return Subspace(ncols, tuple(basis), free)
 
 
-def rank_profile(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[int | None, ...]:
-    """Pivot row of each column in one elimination pass, None where there is none.
+def echelon_profile(
+    rows: Iterable[Sequence], ncols: int, normalise: Callable[[list], list]
+) -> tuple[tuple[int | None, ...], list[list]]:
+    """Pivot row of each column, None where there is none, and the pivot rows as reduced.
 
     Rows are taken in order; each is reduced by the pivot rows already
     accepted until its leftmost nonzero column c is not yet a pivot column,
     and then becomes column c's pivot row.  A reduced row differs from the
     original by earlier rows only, so for every leading block
     rank A[:k, :j] = #{c < j : pivot row of c < k}: the result is the rank
-    profile matrix of A (Dumas, Pernet & Sultan, JSC 2017).  Each row is
-    scaled to integers and eliminated fraction-free, with accepted pivot
-    rows divided by their content.
+    profile matrix of A (Dumas, Pernet & Sultan, JSC 2017), and the accepted
+    rows, in row order, are a basis of the row space.  Entries come from an
+    integral domain and are only multiplied, subtracted and tested for zero:
+    a reduction step cross-multiplies by the pivot row and hands the result
+    to ``normalise``, which divides out a common factor of the row.
     """
     pivot_row: list[int | None] = [None] * ncols
-    accepted: dict[int, tuple[int, list[tuple[int, int]]]] = {}  # column -> (lead, tail)
+    accepted: dict[int, tuple[list, list[int]]] = {}  # column -> (row leading there, its support)
     for r, raw in enumerate(rows):
-        den = lcm(*[a.denominator for a in raw])
-        row = [a.numerator * (den // a.denominator) for a in raw]
+        row = list(raw)
         c = next((k for k in range(ncols) if row[k]), None)
         while c is not None and pivot_row[c] is not None:
-            lead, tail = accepted[c]
-            b = row[c]
-            if lead != 1:
-                row = [lead * a for a in row]
-            row[c] = 0
-            for k, v in tail:
-                row[k] -= b * v
+            prow, support = accepted[c]
+            lead, b = prow[c], row[c]
+            row = [lead * a if a else a for a in row]
+            for k in support:
+                row[k] -= b * prow[k]
+            row = normalise(row)
             c = next((k for k in range(c + 1, ncols) if row[k]), None)
         if c is None:
             continue
-        content = gcd(*row)
-        if content != 1:
-            row = [a // content for a in row]
         pivot_row[c] = r
-        accepted[c] = (row[c], [(k, row[k]) for k in range(c + 1, ncols) if row[k]])
-    return tuple(pivot_row)
+        accepted[c] = (row, [k for k in range(c, ncols) if row[k]])
+    return tuple(pivot_row), [row for row, _ in accepted.values()]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """An integer row divided by the gcd of its entries."""
+    content = gcd(*row)
+    return [a // content for a in row] if content > 1 else row
+
+
+def _integer_row(v: Sequence[Fraction]) -> list[int]:
+    den = lcm(*[a.denominator for a in v])
+    return [a.numerator * (den // a.denominator) for a in v]
+
+
+def rank_profile(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[int | None, ...]:
+    """Pivot row of each column of a rational matrix, its rows scaled to integers."""
+    return echelon_profile(map(_integer_row, rows), ncols, _primitive)[0]
 
 
 def rank(rows: Iterable[Sequence[Fraction]], ncols: int) -> int:

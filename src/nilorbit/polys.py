@@ -2,9 +2,10 @@
 
 Two consumers: the symbolic generic-stratum mode works with multivariate
 polynomials in the dual coordinates, and the limit machinery works with
-univariate polynomials in the family parameter.  Row elimination never
-divides by polynomials; rows are kept small by stripping the rational
-content and any monomial factor common to a whole row.
+univariate polynomials in the family parameter.  Their rows are eliminated
+by ``linalg.echelon_profile``, which never divides by polynomials;
+``strip_row`` keeps rows small by removing the rational content and any
+monomial factor common to a whole row.
 """
 
 from __future__ import annotations
@@ -139,34 +140,6 @@ def strip_row(row: list[Poly]) -> list[Poly]:
             data[tuple(a - b for a, b in zip(m, shift))] = c / content
         out.append(Poly.make(p.nvars, data))
     return out
-
-
-def poly_rank_profile(
-    rows: Sequence[Sequence[Poly]], ncols: int
-) -> tuple[tuple[int | None, ...], list[list[Poly]]]:
-    """Pivot row of each column over the field of rational functions, and a row basis.
-
-    The pass of ``linalg.rank_profile`` over polynomial entries: rows are
-    taken in order, and each is reduced fraction-free by the accepted rows
-    (cross-multiplication, then ``strip_row``) until its leftmost nonzero
-    column has no pivot yet; it then becomes that column's pivot row.  The
-    accepted rows, in row order, are a polynomial basis of the row space.
-    """
-    pivot_row: list[int | None] = [None] * ncols
-    accepted: dict[int, list[Poly]] = {}  # column -> reduced row leading there, in row order
-    for r, raw in enumerate(rows):
-        cur = list(raw)
-        c = next((k for k in range(ncols) if not cur[k].is_zero), None)
-        while c is not None and pivot_row[c] is not None:
-            prow = accepted[c]
-            piv, b = prow[c], cur[c]
-            cur = strip_row([piv * a - b * p for a, p in zip(cur, prow)])
-            c = next((k for k in range(c + 1, ncols) if not cur[k].is_zero), None)
-        if c is None:
-            continue
-        pivot_row[c] = r
-        accepted[c] = cur
-    return tuple(pivot_row), list(accepted.values())
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ report records which one was used.
 Point labels and symbolic labels come from the same rank-profile rule
 (``coadjoint.fine_tuple_from_pivots``).  The symbolic generic label treats the
 dual coordinates as indeterminates and reads every J^k from one rank-profile
-pass over the ``Poly`` entries of the form (``polys.poly_rank_profile``).
+pass over the ``Poly`` entries of the form: ``linalg.echelon_profile``, the
+loop that labels points, with ``polys.strip_row`` as its row normaliser.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .coadjoint import (
     random_functional,
     skew_form,
 )
-from .polys import Poly, poly_rank_profile
+from .linalg import echelon_profile
+from .polys import Poly, strip_row
 
 IndexSetLabel = tuple[int, ...]
 FineLabel = tuple[IndexSetLabel, ...]
@@ -89,7 +91,7 @@ def _symbolic_fine_label(flag: Flag) -> FineLabel:
     """Generic fine label with the dual coordinates treated as indeterminates."""
     m = flag.dim
     coords = [Poly.variable(m, i) for i in range(m)]
-    pivot_row, _ = poly_rank_profile(skew_form(flag.pair_support, coords, Poly.zero(m)), m)
+    pivot_row, _ = echelon_profile(skew_form(flag.pair_support, coords, Poly.zero(m)), m, strip_row)
     return fine_tuple_from_pivots(pivot_row)
 
 

@@ -6,9 +6,11 @@ characterization); these avoid the library's RREF and membership machinery,
 so agreement with the package is a two-route check.  The one exception is
 ``oracle_membership_fine_tuple``: it follows the definition of the jump sets
 literally, one isotropy kernel and one membership scan per leading block,
-and builds both with the library's RREF.  It shares that arithmetic but not
-the rank-profile pass the package labels points with, and its form comes
-from ``oracle_bracket``.  Likewise
+and builds both with the library's ``RrefAccumulator``.  It shares that
+arithmetic but not the rank-profile pass the package labels points with,
+nor ``kernel_basis``: its kernels come from ``oracle_kernel``, which takes
+the RREF of the matrix and then the RREF of the kernel vectors read off it,
+and its form comes from ``oracle_bracket``.  Likewise
 ``oracle_symbolic_fine_label`` eliminates over the library's ``Poly`` type,
 but one leading block at a time with lowest-degree pivots instead of the
 package's single rank-profile pass.  ``oracle_bracket`` is the dense
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from nilorbit.linalg import RrefAccumulator, kernel_basis, unit_vec
+from nilorbit.linalg import ONE, ZERO, RrefAccumulator, Subspace, unit_vec
 from nilorbit.polys import Poly, strip_row
 
 
@@ -39,6 +41,19 @@ def oracle_rank(rows) -> int:
             reduced.append((row, pc))
             r += 1
     return r
+
+
+def oracle_kernel(rows, ncols):
+    """Right kernel by two RREFs: one of the rows, one of the kernel vectors read off it."""
+    acc = RrefAccumulator(ncols, rows)
+    out = []
+    for f in sorted(set(range(ncols)) - set(acc.pivots)):
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for row, p in zip(acc.rows, acc.pivots):
+            v[p] = -row[f]
+        out.append(v)
+    return Subspace.from_vectors(ncols, out)
 
 
 def oracle_bracket(g, u, v):
@@ -125,7 +140,7 @@ def oracle_membership_fine_tuple(g, flag_rows, xi_coords):
     out = []
     for k in range(1, m + 1):
         block = [row[:k] for row in form[:k]]
-        acc = RrefAccumulator(k, kernel_basis(block, k).basis)
+        acc = RrefAccumulator(k, oracle_kernel(block, k).basis)
         jumps = []
         for j in range(k):
             e = unit_vec(k, j)

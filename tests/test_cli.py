@@ -1,6 +1,8 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,9 +104,18 @@ def test_series_on_garbage_is_usage_error(capsys, monkeypatch):
     assert code == 2
 
 
-def test_missing_input_file_is_usage_error(capsys):
-    code, _ = run_cli(["series", "-i", "/nonexistent/file.json"], capsys=capsys)
+def test_missing_input_file_is_usage_error(capsys, tmp_path):
+    for path in ("/nonexistent/file.json", str(tmp_path)):
+        code, _ = run_cli(["series", "-i", path], capsys=capsys)
+        assert code == 2
+
+
+def test_limit_zero_denominator_t0_is_usage_error(h3_file, capsys):
+    code = main(["limit", '["0","0","t"]', "--t0", "1/0", "-i", h3_file])
+    err = capsys.readouterr().err
     assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_classify_zero_functional(h3_file, capsys):
@@ -226,3 +237,19 @@ def test_deterministic_reports_same_seed(h3_file):
             [sys.executable, "-m", "nilorbit.cli", *cmd], capture_output=True, text=True
         )
         assert a.returncode == 0 and a.stdout == b.stdout
+
+
+def test_package_imports_only_the_standard_library():
+    """The CLI must run on a bare interpreter, even though the tests have pytest installed."""
+    package = Path(nilorbit.cli.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "nilorbit", (path.name, name)

@@ -192,14 +192,14 @@ def test_skew_form_agrees_across_entry_types(monkeypatch):
     captured = []
 
     def capture(real):
-        def spy(rows, ncols):
+        def spy(rows, ncols, normalise):
             captured.append(rows)
-            return real(rows, ncols)
+            return real(rows, ncols, normalise)
 
         return spy
 
-    monkeypatch.setattr(strata, "poly_rank_profile", capture(strata.poly_rank_profile))
-    monkeypatch.setattr(limits, "poly_rank_profile", capture(limits.poly_rank_profile))
+    monkeypatch.setattr(strata, "echelon_profile", capture(strata.echelon_profile))
+    monkeypatch.setattr(limits, "echelon_profile", capture(limits.echelon_profile))
     rng = Random(14)
     for g in (hmn(3, 2), threadlike(5), dense(direct_product(heisenberg(2), abelian(1)), 4), dense(hmn(2, 2), 5)):
         flag = flag_of(g)

@@ -40,7 +40,7 @@ def test_parse_poly_forms():
 
 
 def test_parse_poly_rejects_garbage():
-    for bad in ("", "t+", "x^2", "1//2"):
+    for bad in ("", "t+", "x^2", "1//2", "1/0", "t/0"):
         with pytest.raises(LimitError):
             parse_poly(bad)
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 from random import Random
 
-from _oracles import oracle_rank
+from _oracles import oracle_kernel, oracle_rank
 
 from nilorbit.linalg import (
     RrefAccumulator,
@@ -60,6 +60,7 @@ def test_kernel_basis_is_whole_kernel_with_dependent_rows():
                 rows.append([F(0)] * ncols)
             rng.shuffle(rows)
         ker = kernel_basis(rows, ncols)
+        assert ker == oracle_kernel(rows, ncols)
         assert ker.dim == ncols - oracle_rank(rows)
         assert all(c == 0 for v in ker.basis for c in mat_vec(rows, v))
 
