@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .errors import MathError
 from .linalg import (
     RrefAccumulator,
     Subspace,
@@ -29,7 +30,7 @@ from .linalg import (
 BracketTable = tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
 
 
-class NonNilpotentError(ValueError):
+class NonNilpotentError(MathError):
     """Lower central series stabilized at a nonzero term."""
 
     def __init__(self, stabilized: Subspace):
@@ -39,7 +40,7 @@ class NonNilpotentError(ValueError):
         )
 
 
-class NotAnIdealError(ValueError):
+class NotAnIdealError(MathError):
     """A quotient was requested by a subspace that is not an ideal."""
 
     def __init__(self, basis_name: str, member: Vec, escaped: Vec):

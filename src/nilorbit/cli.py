@@ -3,32 +3,26 @@
 Subcommands read the algebra file format on stdin (or --input) and print a
 JSON report whose envelope records the algebra hash, seed, order variant and
 tool version, so identical inputs and seeds give byte-identical output.
-Exit codes: 0 success, 1 mathematical error, 2 usage error.  A malformed
-algebra document is a usage error (exit 2) for every command except
-`validate`, which reports it as a "malformed" diagnostic and exits 1.  A
-failed internal invariant (a RuntimeError) is reported on stderr as one
-line, "internal error in <command>: <message>", with the algebra hash when
-an algebra was read and the seed, so that the run can be reproduced; it
-exits 1.
+Exit codes: 0 success; 2 for a `nilorbit.errors.UsageError` (malformed input,
+an out-of-range parameter) or an unreadable input; 1 for an `errors.MathError`
+(invalid algebra, no limit) or a failed verification.  A malformed document
+exits 2 except under `validate`, which reports it as "malformed" and exits 1.
+Any other exception is a bug: stderr gets one line, "internal error in
+<command>: <message>", with the algebra hash when an algebra was read and
+the seed, so that the run can be reproduced; it exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .algebra import (
-    NonNilpotentError,
-    NotAnIdealError,
-    jordan_holder_flag,
-    lower_central_series,
-    validate_algebra,
-)
+from .algebra import jordan_holder_flag, lower_central_series, validate_algebra
 from .coadjoint import is_flat_orbit, zero_functional, dual_basis_functional
-from .families import FamilySpec, generate, recognize_heisenberg_times_abelian, verify_hmn
+from .errors import MathError, UsageError
+from .families import FAMILIES, FamilySpec, generate, recognize_heisenberg_times_abelian, verify_hmn
 from .formats import (
     FormatError,
     algebra_from_json,
@@ -40,9 +34,10 @@ from .formats import (
     frac_str,
     functional_from_list,
     functional_to_list,
+    parse_json,
     subspace_to_rows,
 )
-from .limits import LimitError, one_param_functional, orbit_limit_set
+from .limits import one_param_functional, orbit_limit_set
 from .strata import (
     ORDER_VARIANTS,
     classify_point,
@@ -52,16 +47,15 @@ from .strata import (
 )
 
 
-class MathError(RuntimeError):
-    pass
-
-
 def _read_algebra(args):
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as e:
+        raise UsageError(f"input is not UTF-8 text: {e}") from e
     args.algebra = algebra_from_json(text)  # named in an internal-error report
     return args.algebra
 
@@ -115,13 +109,7 @@ def _json_safe(x):
 
 
 def _parse_functional(g, text):
-    try:
-        entries = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"functional must be a JSON array of rationals: {e}") from e
-    if not isinstance(entries, list):
-        raise FormatError("functional must be a JSON array of rationals")
-    return functional_from_list(g, entries)
+    return functional_from_list(g, parse_json(text, "functional must be a JSON array of rationals", list))
 
 
 def _layer_probes(g):
@@ -316,12 +304,7 @@ def cmd_verify_hmn(args) -> int:
 
 def cmd_limit(args) -> int:
     g = _require_valid(_read_algebra(args))
-    try:
-        coords = json.loads(args.family)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"family must be a JSON array of polynomial strings: {e}") from e
-    if not isinstance(coords, list):
-        raise FormatError("family must be a JSON array of polynomial strings")
+    coords = parse_json(args.family, "family must be a JSON array of polynomial strings", list)
     t0 = frac_parse(args.t0)
     xi_t = one_param_functional(g, [str(c) for c in coords], t0=t0)
     rep = orbit_limit_set(
@@ -372,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     f = sub.add_parser("family", parents=[common], help="emit a generated algebra")
-    f.add_argument("kind", choices=("heisenberg", "abelian", "hmn", "threadlike"))
+    f.add_argument("kind", choices=tuple(FAMILIES))
     f.add_argument("params", type=int, nargs="*")
     f.set_defaults(func=cmd_family)
 
@@ -430,16 +413,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, FormatError) as e:
+    except (OSError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (MathError, NonNilpotentError, NotAnIdealError, LimitError) as e:
+    except MathError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except RuntimeError as e:
+    except Exception as e:  # a bug in the package, reported so that the run can be reproduced
         algebra = getattr(args, "algebra", None)
         where = f"algebra_sha256 {algebra_hash(algebra)}, " if algebra is not None else ""
         print(f"internal error in {args.command}: {e} ({where}seed {args.seed})", file=sys.stderr)

@@ -31,6 +31,7 @@ from random import Random
 from typing import Sequence
 
 from .algebra import BracketTable, Flag, LieAlgebra, is_ideal
+from .errors import UsageError
 from .linalg import (
     Subspace,
     Vec,
@@ -93,10 +94,12 @@ def dual_functional_by_name(g: LieAlgebra, name: str) -> Functional:
 
 
 def random_functional(g: LieAlgebra, rng: Random, bound: int = 7) -> Functional:
-    return Functional(g, tuple(Fraction(rng.randint(-bound, bound)) for _ in range(g.dim)))
+    return Functional(g, random_vector(g, rng, bound))
 
 
 def random_vector(g: LieAlgebra, rng: Random, bound: int = 7) -> Vec:
+    if bound < 0:
+        raise UsageError("bound must be >= 0")
     return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(g.dim))
 
 
@@ -258,7 +261,7 @@ def is_flat_orbit(
     error rather than a negative answer.
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise UsageError("samples must be >= 1")
     iso, _ = isotropy(g, xi)
     ideal, _witness = is_ideal(g, iso)
     rng = Random(seed)

@@ -28,30 +28,22 @@ from .coadjoint import (
     isotropy,
     random_functional,
 )
+from .errors import UsageError
 from .linalg import Subspace, rank, unit_vec
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    kind: str  # "heisenberg" | "abelian" | "hmn" | "threadlike"
+    kind: str  # a key of FAMILIES
     params: tuple[int, ...]
 
     def __post_init__(self):
-        kind, params = self.kind, self.params
-        if kind == "heisenberg":
-            if len(params) != 1 or params[0] < 1:
-                raise ValueError("heisenberg(d) needs d >= 1")
-        elif kind == "abelian":
-            if len(params) != 1 or params[0] < 0:
-                raise ValueError("abelian(k) needs k >= 0")
-        elif kind == "hmn":
-            if len(params) != 2 or params[0] < 1 or params[1] < 1:
-                raise ValueError("hmn(m, n) needs m >= 1 and n >= 1")
-        elif kind == "threadlike":
-            if len(params) != 1 or params[0] < 3:
-                raise ValueError("threadlike(n) needs n >= 3")
-        else:
-            raise ValueError(f"unknown family kind {kind!r}")
+        if self.kind not in FAMILIES:
+            raise UsageError(f"unknown family kind {self.kind!r}")
+        minima = FAMILIES[self.kind][1]
+        if len(self.params) != len(minima) or any(p < lo for p, lo in zip(self.params, minima.values())):
+            needs = " and ".join(f"{name} >= {lo}" for name, lo in minima.items())
+            raise UsageError(f"{self.kind}({', '.join(minima)}) needs {needs}")
 
 
 def heisenberg(d: int) -> LieAlgebra:
@@ -83,14 +75,17 @@ def threadlike(n: int) -> LieAlgebra:
     return lie_algebra(n, names, brackets)
 
 
+# kind -> (builder, the least value of each named parameter)
+FAMILIES = {
+    "heisenberg": (heisenberg, {"d": 1}),
+    "abelian": (abelian, {"k": 0}),
+    "hmn": (hmn, {"m": 1, "n": 1}),
+    "threadlike": (threadlike, {"n": 3}),
+}
+
+
 def generate(spec: FamilySpec) -> LieAlgebra:
-    if spec.kind == "heisenberg":
-        return heisenberg(spec.params[0])
-    if spec.kind == "abelian":
-        return abelian(spec.params[0])
-    if spec.kind == "hmn":
-        return hmn(*spec.params)
-    return threadlike(spec.params[0])
+    return FAMILIES[spec.kind][0](*spec.params)
 
 
 def _span_of_names(g: LieAlgebra, names: Sequence[str]) -> Subspace:
@@ -135,7 +130,9 @@ def verify_hmn(m: int, n: int, seed: int = 0, flat_samples: int = 20, bound: int
     is recorded in the item detail and the notes instead of being silently
     redefined away.
     """
-    g = hmn(m, n)
+    g = generate(FamilySpec("hmn", (m, n)))  # rejects bad parameters before any work
+    if bound < 0:
+        raise UsageError("bound must be >= 0")
     rng = Random(seed)
     items = []
     notes = []
@@ -184,7 +181,7 @@ def verify_hmn(m: int, n: int, seed: int = 0, flat_samples: int = 20, bound: int
     if m >= n:
         ok = True
         details = []
-        for xi in _probes_iii(g, m, n, rng, bound):
+        for xi in _probes(g, n, n, rng, bound):
             iso, odim = isotropy(g, xi)
             good = iso == z and odim == 2 * n
             ok = ok and good
@@ -208,7 +205,7 @@ def verify_hmn(m: int, n: int, seed: int = 0, flat_samples: int = 20, bound: int
                 g,
                 [f"Y{j}" for j in range(k, n + 1)] + [f"X{i}" for i in range(k + 1, m + 1)],
             )
-            for xi in _probes_iv(g, m, n, k, rng, bound):
+            for xi in _probes(g, n, k, rng, bound):
                 iso, _ = isotropy(g, xi)
                 ok = ok and iso == expected
         items.append(
@@ -230,19 +227,8 @@ def verify_hmn(m: int, n: int, seed: int = 0, flat_samples: int = 20, bound: int
     return HmnReport(m, n, tuple(items), tuple(notes))
 
 
-def _probes_iii(g: LieAlgebra, m: int, n: int, rng: Random, bound: int):
-    """Y_n^* and a perturbation keeping <xi, Y_n> = 1, vanishing nowhere required."""
-    base = dual_functional_by_name(g, f"Y{n}")
-    yield base
-    coords = list(base.coords)
-    for i, name in enumerate(g.basis_names):
-        if name != f"Y{n}":
-            coords[i] = Fraction(rng.randint(-bound, bound))
-    yield Functional(g, tuple(coords))
-
-
-def _probes_iv(g: LieAlgebra, m: int, n: int, k: int, rng: Random, bound: int):
-    """Y_k^* and a perturbation vanishing on Y_{k+1}..Y_n, <xi, Y_k> = 1."""
+def _probes(g: LieAlgebra, n: int, k: int, rng: Random, bound: int):
+    """Y_k^* and a perturbation vanishing on Y_{k+1}..Y_n, <xi, Y_k> = 1 (k = n for item iii)."""
     base = dual_functional_by_name(g, f"Y{k}")
     yield base
     coords = list(base.coords)

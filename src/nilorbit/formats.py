@@ -5,7 +5,8 @@ The algebra file format is:
     {"dim": 3, "basis": ["Z", "X", "Y"],
      "brackets": [{"i": 2, "j": 3, "coeffs": {"1": "1"}}]}
 
-with 1-based indices, i < j, and rationals written as "p/q" ("/1" omitted).
+with 1-based indices, i < j, and rationals written exactly as [+-]p[/q]
+with decimal digits ("/1" omitted on emission; no exponents or decimals).
 Emission is canonical (sorted keys, fixed indentation), so emitting a parsed
 document reproduces it byte for byte.
 """
@@ -14,15 +15,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+import reprlib
 from fractions import Fraction
 from typing import Sequence
 
 from .algebra import LieAlgebra, lie_algebra
 from .coadjoint import Functional
+from .errors import UsageError
 from .linalg import Subspace
 
 
-class FormatError(ValueError):
+class FormatError(UsageError):
     pass
 
 
@@ -30,11 +34,17 @@ def frac_str(x: Fraction) -> str:
     return str(x)  # Fraction renders "p/q" and omits "/1"
 
 
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def frac_parse(text: str) -> Fraction:
+    """The rational [+-]p[/q] that frac_str writes, and nothing else."""
+    if not _RATIONAL_RE.fullmatch(str(text)):
+        raise FormatError(f"bad rational {reprlib.repr(text)}: not of the form [+-]p[/q]")
     try:
         return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as e:
-        raise FormatError(f"bad rational {text!r}: {e}") from e
+    except (ValueError, ZeroDivisionError) as e:  # a zero q, or more digits than int() takes
+        raise FormatError(f"bad rational {reprlib.repr(text)}: {e}") from e
 
 
 def algebra_to_dict(g: LieAlgebra) -> dict:
@@ -91,7 +101,7 @@ def algebra_from_dict(doc) -> LieAlgebra:
         for k, c in coeffs.items():
             if not (k.isascii() and k.isdigit()):
                 raise FormatError(f"bracket target key {k!r} in ({i}, {j}) must be a decimal index")
-            ki = int(k)
+            ki = int(frac_parse(k))
             if not 1 <= ki <= dim:
                 raise FormatError(f"bracket target {ki} out of range in ({i}, {j})")
             val = frac_parse(c)
@@ -109,12 +119,19 @@ def algebra_to_json(g: LieAlgebra) -> str:
     return dumps_canonical(algebra_to_dict(g))
 
 
-def algebra_from_json(text: str) -> LieAlgebra:
+def parse_json(text: str, what: str = "invalid JSON", kind: type = object):
+    """json.loads, with every failure (an over-long integer too) a FormatError led by `what`."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"invalid JSON: {e}") from e
-    return algebra_from_dict(doc)
+    except ValueError as e:
+        raise FormatError(f"{what}: {e}") from e
+    if not isinstance(doc, kind):
+        raise FormatError(what)
+    return doc
+
+
+def algebra_from_json(text: str) -> LieAlgebra:
+    return algebra_from_dict(parse_json(text))
 
 
 def algebra_hash(g: LieAlgebra) -> str:

@@ -20,11 +20,13 @@ from typing import Sequence
 
 from .algebra import LieAlgebra, center, is_ideal
 from .coadjoint import Functional, bform_matrix, is_flat_orbit, isotropy, skew_form
+from .errors import MathError
+from .formats import FormatError, frac_parse
 from .linalg import Subspace, ZERO, dot, echelon_profile, rank as mat_rank, sub_vec
 from .polys import Poly, strip_row, ucoeffs, udet, udiv_exact, ugcd, upoly
 
 
-class LimitError(ValueError):
+class LimitError(MathError):
     pass
 
 
@@ -56,11 +58,11 @@ def parse_poly(text: str) -> Poly:
     """Parse '2t^2 - t/2 + 1' style polynomial strings in the variable t."""
     s = text.replace(" ", "")
     if not s:
-        raise LimitError("empty polynomial string")
+        raise FormatError("empty polynomial string")
     # split into signed terms
     chunks = re.findall(r"[+-]?[^+-]+", s)
     if "".join(chunks) != s:
-        raise LimitError(f"cannot parse polynomial {text!r}")
+        raise FormatError(f"cannot parse polynomial {text!r}")
     coeffs: dict[int, Fraction] = {}
     for chunk in chunks:
         msign = 1
@@ -70,13 +72,13 @@ def parse_poly(text: str) -> Poly:
             body = body[1:]
         m = _TERM_RE.match(body)
         if not m or (m.group("coef") is None and m.group("var") is None):
-            raise LimitError(f"cannot parse term {chunk!r} in {text!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+            raise FormatError(f"cannot parse term {chunk!r} in {text!r}")
+        coef = frac_parse(m.group("coef") or "1")
         if m.group("den"):
-            coef /= int(m.group("den"))
+            coef /= frac_parse(m.group("den"))
         exp = 0
         if m.group("var"):
-            exp = int(m.group("exp")) if m.group("exp") else 1
+            exp = int(frac_parse(m.group("exp") or "1"))
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + msign * coef
     out = [Fraction(0)] * (max(coeffs) + 1)
     for e, c in coeffs.items():
@@ -109,7 +111,7 @@ def format_poly(p: Poly) -> str:
 
 def one_param_functional(g: LieAlgebra, coord_strings: Sequence[str], t0=0) -> OneParamFunctional:
     if len(coord_strings) != g.dim:
-        raise LimitError(f"expected {g.dim} coordinate polynomials, got {len(coord_strings)}")
+        raise FormatError(f"expected {g.dim} coordinate polynomials, got {len(coord_strings)}")
     return OneParamFunctional(g, tuple(parse_poly(s) for s in coord_strings), Fraction(t0))
 
 

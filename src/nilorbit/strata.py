@@ -28,6 +28,7 @@ from .coadjoint import (
     random_functional,
     skew_form,
 )
+from .errors import UsageError
 from .linalg import echelon_profile
 from .polys import Poly, strip_row
 
@@ -116,7 +117,7 @@ def generic_stratum(
         cert = {"mode": "symbolic"}
     elif mode == "sampled":
         if samples < 1:
-            raise ValueError("sampled mode needs at least one sample")
+            raise UsageError("sampled mode needs at least one sample")
         rng = Random(seed)
         best: FineLabel | None = None
         counts: dict[FineLabel, int] = {}
@@ -161,7 +162,7 @@ def enumerate_strata(
     default variant, with one representative per label (probes win ties).
     """
     if samples < 1:
-        raise ValueError("need at least one sample")
+        raise UsageError("need at least one sample")
     rng = Random(seed)
     points = list(extra_points) + [
         random_functional(flag.algebra, rng, bound) for _ in range(samples)
@@ -207,8 +208,6 @@ def composition_layers(
     dimension of the annihilator of [g, g], the parameter space of the
     characters.
     """
-    if not strata:
-        raise ValueError("no strata supplied")
     m = flag.dim
     char = character_label(m)
     labels = [s.label for s in strata]

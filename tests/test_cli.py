@@ -1,22 +1,32 @@
 import ast
+import importlib
+import io
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
+import nilorbit
 import nilorbit.cli
 from nilorbit.cli import main
-from nilorbit.families import heisenberg
-from nilorbit.formats import FormatError, algebra_from_json, algebra_hash, algebra_to_json
+from nilorbit.errors import MathError, UsageError
+from nilorbit.families import heisenberg, hmn
+from nilorbit.formats import (
+    FormatError,
+    algebra_from_json,
+    algebra_hash,
+    algebra_to_dict,
+    algebra_to_json,
+)
 
 
 def run_cli(args, stdin_text=None, capsys=None, monkeypatch=None):
     """Drive main() in process; returns (exit_code, stdout)."""
     if stdin_text is not None:
-        import io
-
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     code = main(args)
     out = capsys.readouterr().out
@@ -77,12 +87,17 @@ _MALFORMED = {
     "coeff-key-word": dict(_H3, brackets=[{"i": 2, "j": 3, "coeffs": {"x": "1"}}]),
     "coeff-key-underscore": dict(_H3, brackets=[{"i": 2, "j": 3, "coeffs": {" 0_1": "1"}}]),
     "coeff-key-sign": dict(_H3, brackets=[{"i": 2, "j": 3, "coeffs": {"+1": "1"}}]),
+    "coeff-exponent": dict(_H3, brackets=[{"i": 2, "j": 3, "coeffs": {"1": "1e5000"}}]),
+    "coeff-decimal": dict(_H3, brackets=[{"i": 2, "j": 3, "coeffs": {"1": "0.5"}}]),
+    # written by hand: json.dumps cannot write an integer this long either
+    "dim-5000-digits": '{"dim": ' + "1" * 5000 + ', "basis": ["Z", "X", "Y"], "brackets": []}',
 }
 
 
 @pytest.mark.parametrize("name", sorted(_MALFORMED))
 def test_malformed_document_types_are_format_errors(name, capsys, monkeypatch):
-    text = json.dumps(_MALFORMED[name])
+    doc = _MALFORMED[name]
+    text = doc if isinstance(doc, str) else json.dumps(doc)
     with pytest.raises(FormatError):
         algebra_from_json(text)
     # validate reports a malformed document as a diagnostic; other commands exit 2
@@ -253,3 +268,156 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names or top == "nilorbit", (path.name, name)
+
+
+_H3_TEXT = json.dumps(_H3)
+_NONNILPOTENT = '{"dim": 2, "basis": ["A", "B"], "brackets": [{"i": 1, "j": 2, "coeffs": {"1": "1"}}]}'
+_HMN = "error: hmn(m, n) needs m >= 1 and n >= 1"
+_BAD_ARRAY = "error: functional must be a JSON array"
+
+# name -> (argv, stdin, exit code, start of the one stderr line, cli function made to raise ValueError);
+# an empty start means nothing on stderr: validate reports a malformed document on stdout
+_EXIT_CODES = {
+    "limit-zero-denominator": (["limit", '["0","0","1/0"]'], _H3_TEXT, 2, "error: cannot parse term", None),
+    "limit-no-coordinates": (["limit", "[]"], _H3_TEXT, 2, "error: expected 3 coordinate polynomials", None),
+    "limit-exponent": (["limit", '["0","0","1e5000"]'], _H3_TEXT, 2, "error: cannot parse term", None),
+    "limit-t0-exponent": (["limit", '["0","0","t"]', "--t0", "1e5"], _H3_TEXT, 2, "error: bad rational", None),
+    "limit-not-an-array": (["limit", '{"t": 1}'], _H3_TEXT, 2, "error: family must be a JSON array", None),
+    "classify-short": (["classify", '["1","0"]'], _H3_TEXT, 2, "error: functional needs 3 coordinates", None),
+    "classify-decimal": (["classify", '["1","0","0.5"]'], _H3_TEXT, 2, "error: bad rational '0.5'", None),
+    "classify-5000-digits": (["classify", '["1","0",' + "7" * 5000 + "]"], _H3_TEXT, 2, _BAD_ARRAY, None),
+    "verify-hmn-negative": (["verify-hmn", "1", "-3"], None, 2, _HMN, None),
+    "verify-hmn-zero": (["verify-hmn", "0", "0"], None, 2, _HMN, None),
+    "verify-hmn-bound": (["verify-hmn", "2", "2", "--bound", "-1"], None, 2, "error: bound must be", None),
+    "family-zero": (["family", "heisenberg", "0"], None, 2, "error: heisenberg(d) needs d >= 1", None),
+    "family-arity": (["family", "hmn", "2"], None, 2, _HMN, None),
+    "strata-no-samples": (["strata", "--samples", "0"], _H3_TEXT, 2, "error: need at least one sample", None),
+    "strata-bound": (["strata", "--bound", "-1"], _H3_TEXT, 2, "error: bound must be >= 0", None),
+    "index-no-samples": (["index", "--mode", "sampled", "--samples", "0"], _H3_TEXT, 2, "error: sampled", None),
+    "flat-no-samples": (["flat", '["1","0","0"]', "--samples", "0"], _H3_TEXT, 2, "error: samples must", None),
+    "series-garbage": (["series"], "nope", 2, "error: invalid JSON", None),
+    "series-nonnilpotent": (["series"], _NONNILPOTENT, 1, "error: invalid algebra: lower central", None),
+    "limit-character-family": (["limit", '["0","t","1"]'], _H3_TEXT, 1, "error: the family is identically", None),
+    "validate-exponent": (["validate"], _H3_TEXT.replace('"1"}', '"1e5000"}'), 1, "", None),
+    "internal-value-error": (
+        ["series"], _H3_TEXT, 1, "internal error in series: boom (algebra_sha256 ", "lower_central_series"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXIT_CODES))
+def test_exit_code_table(name, capsys, monkeypatch):
+    argv, stdin_text, expected, head, broken = _EXIT_CODES[name]
+    if stdin_text is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    if broken is not None:
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(nilorbit.cli, broken, boom)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err
+    if head:
+        assert err.startswith(head) and err.count("\n") == 1, err
+    else:
+        assert err == ""
+
+
+def test_input_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")
+    for command in ("series", "validate"):
+        code = main([command, "-i", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: input is not UTF-8 text") and err.count("\n") == 1
+
+
+_BAD_VALUES = ["1/0", "x", "1e5000", "7" * 5000, "@BIG@", None, 2.5, True, [], {}, 3]
+
+
+def _mutate_document(doc, rng):
+    """One seeded mutation of an algebra document, returned as JSON text."""
+    doc = json.loads(json.dumps(doc))
+    kind = rng.choice(["drop", "duplicate", "retype", "rational", "truncate", "bracket-key"])
+    brackets = doc["brackets"]
+    if kind == "drop":
+        del doc[rng.choice(sorted(doc))]
+    elif kind == "retype":
+        doc[rng.choice(sorted(doc))] = rng.choice(_BAD_VALUES)
+    elif kind == "bracket-key" and brackets:
+        entry = rng.choice(brackets)
+        key = rng.choice(sorted(entry))
+        if rng.random() < 0.5:
+            del entry[key]
+        else:
+            entry[key] = rng.choice(_BAD_VALUES + [0, 1, 99, -1])
+    elif kind == "rational" and brackets:
+        coeffs = rng.choice(brackets)["coeffs"]
+        coeffs[rng.choice(sorted(coeffs))] = rng.choice(_BAD_VALUES)
+    text = json.dumps(doc)
+    if kind == "duplicate":
+        key = rng.choice(sorted(doc))
+        text = text[:-1] + f", {json.dumps(key)}: {json.dumps(rng.choice(_BAD_VALUES))}}}"
+    elif kind == "truncate":
+        text = text[: rng.randrange(len(text))]
+    # a bare JSON integer of 5000 digits, which json.dumps cannot write
+    return text.replace('"@BIG@"', "7" * 5000)
+
+
+def _mutate_array(entries, rng):
+    entries = list(entries)
+    kind = rng.choice(["drop", "duplicate", "retype", "truncate"])
+    i = rng.randrange(len(entries))
+    if kind == "drop":
+        del entries[i]
+    elif kind == "duplicate":
+        entries.insert(i, entries[i])
+    elif kind == "retype":
+        entries[i] = rng.choice(_BAD_VALUES)
+    text = json.dumps(entries).replace('"@BIG@"', "7" * 5000)
+    return text[: rng.randrange(len(text))] if kind == "truncate" else text
+
+
+def test_seeded_mutation_fuzz_exits_cleanly(capsys, monkeypatch):
+    """Mutated documents and arguments end in exit 0, 1 or 2 with a diagnostic, never a traceback."""
+    rng = Random(2024)
+    cases = [
+        (algebra_to_dict(heisenberg(1)), ["1", "0", "1/2"], ["t", "1", "0"]),
+        (algebra_to_dict(hmn(2, 2)), ["0", "0", "0", "1", "-3/4"], ["0", "0", "0", "1", "t"]),
+    ]
+    codes = set()
+    for trial in range(300):
+        doc, functional, family = rng.choice(cases)
+        command = rng.choice(["validate", "series", "flag", "recognize", "classify", "limit"])
+        if command in ("classify", "limit") and rng.random() < 0.7:
+            text = json.dumps(doc)  # mutate the argument, not the document
+            arg = _mutate_array(functional if command == "classify" else family, rng)
+        else:
+            text = _mutate_document(doc, rng)
+            arg = json.dumps(functional if command == "classify" else family)
+        argv = [command] + ([arg] if command in ("classify", "limit") else [])
+        argv += ["--budget", "3"] if command == "limit" else []
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse, for an argument that looks like an option
+            code = e.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (trial, argv, text[:200])
+        assert "Traceback" not in err and not err.startswith("internal error"), (trial, argv, text[:200], err)
+        codes.add(code)
+    assert codes == {0, 1, 2}
+
+
+def test_every_package_exception_derives_from_an_exit_code_class():
+    """A new exception class must choose exit 2 (UsageError) or exit 1 (MathError)."""
+    found = set()
+    for info in pkgutil.iter_modules(nilorbit.__path__):
+        module = importlib.import_module(f"nilorbit.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__.startswith("nilorbit"):
+                assert issubclass(obj, (UsageError, MathError)), obj
+                found.add(obj.__name__)
+    assert {"FormatError", "LimitError", "NonNilpotentError", "NotAnIdealError"} <= found

@@ -14,6 +14,8 @@ from nilorbit.algebra import (
     lie_algebra,
     validate_algebra,
 )
+from nilorbit import families
+from nilorbit.errors import UsageError
 from nilorbit.families import (
     FamilySpec,
     abelian,
@@ -71,6 +73,17 @@ def test_family_spec_validation():
     with pytest.raises(ValueError):
         FamilySpec("oscillator", (3,))
     assert generate(FamilySpec("abelian", (0,))).dim == 0
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (1, -3), (2, 0)])
+def test_verify_hmn_rejects_bad_parameters_before_any_work(m, n, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("verification ran on invalid parameters")
+
+    monkeypatch.setattr(families, "lower_central_series", no_work)
+    monkeypatch.setattr(families, "dual_functional_by_name", no_work)
+    with pytest.raises(UsageError, match=r"hmn\(m, n\) needs m >= 1 and n >= 1"):
+        verify_hmn(m, n)
 
 
 def test_generated_hmn_all_valid():

@@ -28,6 +28,16 @@ def test_frac_strings():
         frac_parse("a/b")
 
 
+def test_frac_parse_reads_only_the_written_grammar():
+    assert frac_parse("-12/8") == F(-3, 2) and frac_parse("+7") == 7 and frac_parse(3) == 3
+    for x in (F(0), F(-5), F(22, 7), F(-1, 10**30)):
+        assert frac_parse(frac_str(x)) == x
+    # exponents make Fraction compute 10**e, so "1e4000000" alone took seconds
+    for bad in ("1e5000", "1E2", "0.5", ".5", "1/2/3", " 1", "1_000", "\u0661", "inf", "nan", "", "7" * 5000):
+        with pytest.raises(FormatError):
+            frac_parse(bad)
+
+
 def test_algebra_roundtrip_bit_exact():
     for g in (heisenberg(2), hmn(3, 2), abelian(0), threadlike(5)):
         text = algebra_to_json(g)

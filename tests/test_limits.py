@@ -8,6 +8,7 @@ from conftest import flag_of
 from nilorbit.algebra import quotient
 from nilorbit.coadjoint import Functional
 from nilorbit.families import heisenberg, hmn, threadlike
+from nilorbit.formats import FormatError
 from nilorbit.limits import (
     LimitError,
     direction_family,
@@ -40,8 +41,9 @@ def test_parse_poly_forms():
 
 
 def test_parse_poly_rejects_garbage():
-    for bad in ("", "t+", "x^2", "1//2", "1/0", "t/0"):
-        with pytest.raises(LimitError):
+    # a malformed family string is a usage error (exit 2), like any other malformed input
+    for bad in ("", "t+", "x^2", "1//2", "1/0", "t/0", "1e5", "0.5t", "t^1e3", "7" * 5000):
+        with pytest.raises(FormatError):
             parse_poly(bad)
 
 
