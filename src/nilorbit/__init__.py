@@ -24,13 +24,11 @@ from .algebra import (
 )
 from .coadjoint import (
     Functional,
-    JumpData,
     AffineOrbit,
     bform_matrix,
     isotropy,
     jump_set,
     fine_jump_tuple,
-    jump_data,
     coadjoint_move,
     is_flat_orbit,
 )
@@ -74,13 +72,11 @@ __all__ = [
     "direct_product",
     "change_basis",
     "Functional",
-    "JumpData",
     "AffineOrbit",
     "bform_matrix",
     "isotropy",
     "jump_set",
     "fine_jump_tuple",
-    "jump_data",
     "coadjoint_move",
     "is_flat_orbit",
     "compare_index_sets",

@@ -235,9 +235,6 @@ class Flag:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def prefix(self, j: int) -> Subspace:
-        return Subspace.from_vectors(self.dim, self.rows[:j])
-
 
 def jordan_holder_flag(g: LieAlgebra) -> Flag:
     """Deterministic Jordan-Hoelder flag refining the lower central series.
@@ -287,7 +284,7 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     if not ok:
         assert witness is not None
         raise NotAnIdealError(*witness)
-    comp = quotient_complement(g, ideal)
+    comp = tuple(c for c in range(g.dim) if c not in ideal.pivots)
     n = len(comp)
     names = tuple(g.basis_names[c] for c in comp)
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -299,12 +296,6 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> LieAlgebra:
             if coeffs:
                 brackets[(a, b)] = coeffs
     return lie_algebra(n, names, brackets)
-
-
-def quotient_complement(g: LieAlgebra, ideal: Subspace) -> tuple[int, ...]:
-    """Stored-basis indices whose classes form the quotient basis."""
-    pivot_set = set(ideal.pivots)
-    return tuple(c for c in range(g.dim) if c not in pivot_set)
 
 
 def direct_product(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:

@@ -21,6 +21,11 @@ Dumas, Pernet & Sultan (JSC 2017) and Jeannerod, Pernet & Storjohann
 (JSC 2013); it replaces one kernel and membership scan per leading block,
 O(m^4) per point, with one O(m^3) pass.  The symbolic generic label runs the
 same loop (``linalg.echelon_profile``) over the ``Poly`` form.
+
+The package labels points this one way.  The definitional routes it is
+checked against live in ``tests/_oracles.py``: the per-leading-block scan
+is ``oracle_membership_fine_tuple``, and the bracket-by-bracket character
+test (J = {} iff xi vanishes on [g, g]) is ``oracle_is_character``.
 """
 
 from __future__ import annotations
@@ -39,10 +44,8 @@ from .linalg import (
     dot,
     is_zero_vec,
     kernel_basis,
-    mat_vec,
     rank_profile,
     sub_vec,
-    transpose,
     unit_vec,
     vec,
     zero_vec,
@@ -62,18 +65,8 @@ class Functional:
                 f"functional has {len(self.coords)} coordinates for dimension {self.algebra.dim}"
             )
 
-    def pair(self, v: Sequence[Fraction]) -> Fraction:
-        return dot(self.coords, v)
-
     def scale(self, t: Fraction) -> "Functional":
         return Functional(self.algebra, tuple(t * c for c in self.coords))
-
-    def add(self, other: "Functional") -> "Functional":
-        return Functional(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def is_character(self) -> bool:
-        """True iff xi vanishes on every bracket, i.e. the orbit is a point."""
-        return all(self.pair(self.algebra.bracket_basis(i, j)) == 0 for i, j, _ in self.algebra.brackets)
 
 
 def functional(g: LieAlgebra, entries) -> Functional:
@@ -160,35 +153,6 @@ def fine_tuple_from_pivots(pivot_row: Sequence[int | None]) -> tuple[tuple[int, 
             jumps = tuple(sorted(jumps + (r + 1, k + 1)))
         fine.append(jumps)
     return tuple(fine)
-
-
-@dataclass(frozen=True)
-class JumpData:
-    isotropy: Subspace
-    partial_isotropies: tuple[Subspace, ...]
-    coarse: tuple[int, ...]
-    fine: tuple[tuple[int, ...], ...]
-    orbit_dim: int
-
-
-def jump_data(flag: Flag, xi: Functional) -> JumpData:
-    """Full jump data; isotropies are returned in stored-basis coordinates."""
-    m = flag.dim
-    form = flag_form(flag, xi)
-    columns = transpose(flag.rows)  # sends flag coordinates to stored ones
-    partials = []
-    for k in range(1, m + 1):
-        block = [row[:k] for row in form[:k]]
-        # a kernel vector has k flag coordinates; dot() stops at the shorter vector
-        rows = [mat_vec(columns, kv) for kv in kernel_basis(block, k).basis]
-        partials.append(Subspace.from_vectors(m, rows))
-    fine = fine_tuple_from_pivots(rank_profile(form, m))
-    coarse = fine[-1] if m else ()
-    iso = partials[-1] if m else Subspace.zero(0)
-    data = JumpData(iso, tuple(partials), coarse, fine, m - iso.dim)
-    if data.orbit_dim != len(coarse) or data.orbit_dim % 2 != 0:
-        raise RuntimeError("jump data is inconsistent: |J| != codim of the radical")
-    return data
 
 
 def coadjoint_move(g: LieAlgebra, xi: Functional, x: Sequence[Fraction]) -> Functional:

@@ -133,6 +133,8 @@ def verify_hmn(m: int, n: int, seed: int = 0, flat_samples: int = 20, bound: int
     g = generate(FamilySpec("hmn", (m, n)))  # rejects bad parameters before any work
     if bound < 0:
         raise UsageError("bound must be >= 0")
+    if flat_samples < 1:
+        raise UsageError("samples must be >= 1")
     rng = Random(seed)
     items = []
     notes = []

@@ -20,10 +20,10 @@ from typing import Sequence
 
 from .algebra import LieAlgebra, center, is_ideal
 from .coadjoint import Functional, bform_matrix, is_flat_orbit, isotropy, skew_form
-from .errors import MathError
+from .errors import MathError, UsageError
 from .formats import FormatError, frac_parse
 from .linalg import Subspace, ZERO, dot, echelon_profile, rank as mat_rank, sub_vec
-from .polys import Poly, strip_row, ucoeffs, udet, udiv_exact, ugcd, upoly
+from .polys import Poly, strip_row, udet, udiv_exact, ugcd
 
 
 class LimitError(MathError):
@@ -54,6 +54,10 @@ _TERM_RE = re.compile(
 )
 
 
+# the largest exponent of t a family string may use
+MAX_EXPONENT = 1000
+
+
 def parse_poly(text: str) -> Poly:
     """Parse '2t^2 - t/2 + 1' style polynomial strings in the variable t."""
     s = text.replace(" ", "")
@@ -79,34 +83,10 @@ def parse_poly(text: str) -> Poly:
         exp = 0
         if m.group("var"):
             exp = int(frac_parse(m.group("exp") or "1"))
+            if exp > MAX_EXPONENT:
+                raise FormatError(f"exponent above {MAX_EXPONENT} in term {chunk!r}")
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + msign * coef
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return upoly(out)
-
-
-def format_poly(p: Poly) -> str:
-    cs = ucoeffs(p)
-    if not cs:
-        return "0"
-    parts = []
-    for e, c in enumerate(cs):
-        if c == 0:
-            continue
-        if e == 0:
-            parts.append(str(c))
-        else:
-            mono = "t" if e == 1 else f"t^{e}"
-            if c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            elif c.denominator == 1:
-                parts.append(f"{c}{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-    return " + ".join(parts).replace("+ -", "- ")
+    return Poly.make(1, {(e,): c for e, c in coeffs.items()})
 
 
 def one_param_functional(g: LieAlgebra, coord_strings: Sequence[str], t0=0) -> OneParamFunctional:
@@ -231,6 +211,8 @@ def orbit_limit_set(
     slice meets at least two distinct orbits.  The verdict is certified only
     at sample resolution.
     """
+    if sample_budget < 1:
+        raise UsageError("sample budget must be >= 1")
     t0 = xi_t.t0 if t0 is None else Fraction(t0)
     fam = direction_family(g, xi_t)
 
@@ -256,7 +238,7 @@ def orbit_limit_set(
     z = center(g)
     rng = Random(seed)
     pts = [xibar]
-    for _ in range(max(sample_budget - 1, 0)):
+    for _ in range(sample_budget - 1):
         coords = list(xibar.coords)
         for row in v0.basis:
             c = Fraction(rng.randint(-bound, bound))

@@ -100,10 +100,6 @@ class RrefAccumulator:
         self.pivots.insert(at, p)
         return True
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def snapshot(self) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
         return tuple(tuple(r) for r in self.rows), tuple(self.pivots)
 
@@ -228,9 +224,6 @@ class Subspace:
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return is_zero_vec(residue(self.basis, self.pivots, v))
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace.from_vectors(self.ambient_dim, list(self.basis) + list(other.basis))

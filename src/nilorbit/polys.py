@@ -100,17 +100,6 @@ class Poly:
             total += v
         return total
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.terms:
-            mono = "*".join(
-                f"x{i}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(m) if e
-            )
-            parts.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
-
 
 def strip_row(row: list[Poly]) -> list[Poly]:
     """Divide a row by its rational content and common monomial factor."""

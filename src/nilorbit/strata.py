@@ -4,7 +4,11 @@ Index sets carry the total order  e1 < e2  iff  min(e1 \\ e2) < min(e2 \\ e1)
 with min(empty) = infinity, so the empty set is the maximum.  Fine labels are
 m-tuples of index sets compared lexicographically; both scan directions
 occur in practice, so the variant is a parameter everywhere and every
-report records which one was used.
+report records which one was used.  The order is a sort key: an index set
+maps to its sorted elements followed by infinity, and a fine label to the
+tuple of its components' keys (reversed for lex_descending), so plain tuple
+comparison decides it.  The set-difference rule itself is
+``oracle_compare_index_sets`` in ``tests/_oracles.py``.
 
 Point labels and symbolic labels come from the same rank-profile rule
 (``coadjoint.fine_tuple_from_pivots``).  The symbolic generic label treats the
@@ -15,8 +19,8 @@ loop that labels points, with ``polys.strip_row`` as its row normaliser.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from math import inf
 from random import Random
 from typing import Iterable, Sequence
 
@@ -38,18 +42,33 @@ FineLabel = tuple[IndexSetLabel, ...]
 ORDER_VARIANTS = ("lex_ascending", "lex_descending")
 
 
+def _index_set_key(e: Iterable[int]) -> tuple:
+    """Sort key of an index set: its distinct elements in increasing order, then infinity.
+
+    Two keys agree up to the first element the sets do not share; there the
+    smaller entry is the smaller of min(e1 \\ e2) and min(e2 \\ e1), on its
+    own set's side, with the sentinel standing for the minimum of an empty
+    difference.  So keys compare as the sets do, and the empty set, key
+    (inf,), is the maximum.
+    """
+    return (*sorted(set(e)), inf)
+
+
+def _fine_label_key(eps: FineLabel, order_variant: str = "lex_ascending") -> tuple:
+    """Sort key of a fine label: its components' keys, last first for lex_descending."""
+    if order_variant not in ORDER_VARIANTS:
+        raise ValueError(f"unknown order variant {order_variant!r}")
+    keys = tuple(_index_set_key(e) for e in eps)
+    return keys[::-1] if order_variant == "lex_descending" else keys
+
+
+def _sign(a, b) -> int:
+    return (a > b) - (a < b)
+
+
 def compare_index_sets(e1: Iterable[int], e2: Iterable[int]) -> int:
     """-1, 0 or 1; the empty set is the maximum of the order."""
-    s1, s2 = set(e1), set(e2)
-    if s1 == s2:
-        return 0
-    only1 = s1 - s2
-    only2 = s2 - s1
-    m1 = min(only1) if only1 else None
-    m2 = min(only2) if only2 else None
-    if m2 is None or (m1 is not None and m1 < m2):
-        return -1
-    return 1
+    return _sign(_index_set_key(e1), _index_set_key(e2))
 
 
 def compare_fine_labels(
@@ -57,16 +76,7 @@ def compare_fine_labels(
 ) -> int:
     if len(eps1) != len(eps2):
         raise ValueError("fine labels of different lengths")
-    if order_variant not in ORDER_VARIANTS:
-        raise ValueError(f"unknown order variant {order_variant!r}")
-    ks = range(len(eps1))
-    if order_variant == "lex_descending":
-        ks = reversed(ks)
-    for k in ks:
-        c = compare_index_sets(eps1[k], eps2[k])
-        if c:
-            return c
-    return 0
+    return _sign(_fine_label_key(eps1, order_variant), _fine_label_key(eps2, order_variant))
 
 
 def classify_point(flag: Flag, xi: Functional) -> tuple[IndexSetLabel, FineLabel]:
@@ -119,22 +129,18 @@ def generic_stratum(
         if samples < 1:
             raise UsageError("sampled mode needs at least one sample")
         rng = Random(seed)
-        best: FineLabel | None = None
         counts: dict[FineLabel, int] = {}
         for _ in range(samples):
             xi = random_functional(flag.algebra, rng, bound)
             fine_label = fine_jump_tuple(flag, xi)
             counts[fine_label] = counts.get(fine_label, 0) + 1
-            if best is None or compare_fine_labels(fine_label, best) < 0:
-                best = fine_label
-        assert best is not None
-        fine = best
+        fine = min(counts, key=_fine_label_key)
         coarse = fine[-1] if fine else ()
         cert = {
             "mode": "sampled",
             "samples": samples,
             "seed": seed,
-            "agreeing_samples": counts[best],
+            "agreeing_samples": counts[fine],
         }
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -176,7 +182,7 @@ def enumerate_strata(
         StratumSample(label, xi, len(label[-1]) if label else 0)
         for label, xi in found.items()
     ]
-    out.sort(key=functools.cmp_to_key(lambda a, b: compare_fine_labels(a.label, b.label)))
+    out.sort(key=lambda s: _fine_label_key(s.label))
     return out
 
 
@@ -216,12 +222,7 @@ def composition_layers(
             "character stratum missing from the supplied strata; "
             "every nilpotent algebra has characters"
         )
-    ordered = sorted(
-        strata,
-        key=functools.cmp_to_key(
-            lambda a, b: compare_fine_labels(a.label, b.label, order_variant)
-        ),
-    )
+    ordered = sorted(strata, key=lambda s: _fine_label_key(s.label, order_variant))
     char_dim = m - derived_subalgebra(flag.algebra).dim
     layers = []
     for s in ordered:

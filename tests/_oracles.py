@@ -15,6 +15,13 @@ and its form comes from ``oracle_bracket``.  Likewise
 but one leading block at a time with lowest-degree pivots instead of the
 package's single rank-profile pass.  ``oracle_bracket`` is the dense
 bilinear sum over every table entry, with no zero skipping.
+
+Two definitional routes the package no longer carries live here too:
+``oracle_is_character`` pairs xi with every basis bracket, against which
+``jump_set`` (J = {} iff the orbit is a point) is checked, and
+``oracle_compare_index_sets`` / ``oracle_compare_fine_labels`` compare
+labels by set differences and a component scan, against which the
+package's sort keys are checked.
 """
 
 from __future__ import annotations
@@ -186,3 +193,37 @@ def oracle_symbolic_fine_label(flag):
                 accepted.append((cur, min(live, key=lambda cp: (cp[1].degree(), cp[0]))[0]))
         label.append(tuple(jumps))
     return tuple(label)
+
+
+def oracle_is_character(xi) -> bool:
+    """True iff xi vanishes on every basis bracket [X_i, X_j], i.e. the orbit is a point."""
+    g = xi.algebra
+    return all(
+        sum(c * x for c, x in zip(g.bracket_basis(i, j), xi.coords)) == 0 for i, j, _ in g.brackets
+    )
+
+
+def oracle_compare_index_sets(e1, e2) -> int:
+    """-1, 0 or 1 by the definition: e1 < e2 iff min(e1 \\ e2) < min(e2 \\ e1), min of {} infinite."""
+    s1, s2 = set(e1), set(e2)
+    if s1 == s2:
+        return 0
+    only1 = s1 - s2
+    only2 = s2 - s1
+    m1 = min(only1) if only1 else None
+    m2 = min(only2) if only2 else None
+    if m2 is None or (m1 is not None and m1 < m2):
+        return -1
+    return 1
+
+
+def oracle_compare_fine_labels(eps1, eps2, order_variant="lex_ascending") -> int:
+    """Lexicographic scan of the components, last first for lex_descending."""
+    ks = range(len(eps1))
+    if order_variant == "lex_descending":
+        ks = reversed(ks)
+    for k in ks:
+        c = oracle_compare_index_sets(eps1[k], eps2[k])
+        if c:
+            return c
+    return 0

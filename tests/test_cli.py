@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import io
 import json
 import pkgutil
@@ -289,6 +290,10 @@ _EXIT_CODES = {
     "verify-hmn-negative": (["verify-hmn", "1", "-3"], None, 2, _HMN, None),
     "verify-hmn-zero": (["verify-hmn", "0", "0"], None, 2, _HMN, None),
     "verify-hmn-bound": (["verify-hmn", "2", "2", "--bound", "-1"], None, 2, "error: bound must be", None),
+    "verify-hmn-no-samples": (["verify-hmn", "2", "2", "--samples", "-1"], None, 2, "error: samples must", None),
+    "limit-no-budget": (["limit", '["t","1","0"]', "--budget", "0"], _H3_TEXT, 2, "error: sample budget", None),
+    "limit-negative-budget": (["limit", '["t","1","0"]', "--budget", "-3"], _H3_TEXT, 2, "error: sample budget", None),
+    "limit-exponent-cap": (["limit", '["t^1001","1","0"]'], _H3_TEXT, 2, "error: exponent above 1000", None),
     "family-zero": (["family", "heisenberg", "0"], None, 2, "error: heisenberg(d) needs d >= 1", None),
     "family-arity": (["family", "hmn", "2"], None, 2, _HMN, None),
     "strata-no-samples": (["strata", "--samples", "0"], _H3_TEXT, 2, "error: need at least one sample", None),
@@ -421,3 +426,35 @@ def test_every_package_exception_derives_from_an_exit_code_class():
                 assert issubclass(obj, (UsageError, MathError)), obj
                 found.add(obj.__name__)
     assert {"FormatError", "LimitError", "NonNilpotentError", "NotAnIdealError"} <= found
+
+
+def _bench_workloads():
+    """bench/workloads.py as a module, imported without writing bytecode under bench/."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        del sys.modules[spec.name]
+    return module
+
+
+def test_recorded_cli_session_is_byte_identical(tmp_path, capsys):
+    """Every recorded benchmark command gives its recorded exit code and stdout bytes."""
+    w = _bench_workloads()
+    expected = json.loads((w.EXPECTED_DIR / "cli_session.json").read_text(encoding="utf-8"))
+    for fname, make in w.CLI_FILES.items():
+        (tmp_path / fname).write_text(algebra_to_json(make()), encoding="utf-8")
+    argvs = {w.cli_key(argv): argv for v in range(w.CLI_VARIANTS) for _, argv in w.cli_commands(v)}
+    assert sorted(argvs) == sorted(expected)
+    mismatches = []
+    for key, argv in argvs.items():
+        code = main([str(tmp_path / a) if a in w.CLI_FILES else a for a in argv])
+        got = w.cli_answer(code, capsys.readouterr().out.encode("utf-8"))
+        if got != expected[key]:
+            mismatches.append((key, got, expected[key]))
+    assert not mismatches, mismatches

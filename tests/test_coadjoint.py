@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from conftest import flag_of
-from _oracles import oracle_ad_matrix, oracle_fine_tuple, oracle_rank
+from _oracles import oracle_ad_matrix, oracle_fine_tuple, oracle_is_character, oracle_rank
 
 from nilorbit.algebra import change_basis, direct_product, lie_algebra
 from nilorbit.coadjoint import (
@@ -17,7 +17,6 @@ from nilorbit.coadjoint import (
     functional,
     is_flat_orbit,
     isotropy,
-    jump_data,
     jump_set,
     random_functional,
     random_vector,
@@ -123,7 +122,7 @@ def test_jump_set_empty_iff_character():
         flag = flag_of(g)
         for _ in range(20):
             xi = random_functional(g, rng)
-            assert (jump_set(flag, xi) == ()) == xi.is_character()
+            assert (jump_set(flag, xi) == ()) == oracle_is_character(xi)
 
 
 def test_jump_set_size_is_form_rank():
@@ -149,7 +148,7 @@ def test_fine_tuple_of_zero():
 def test_fine_tuple_character_y0star():
     g = hmn(2, 2)
     xi = dual_functional_by_name(g, "Y0")
-    assert xi.is_character()
+    assert oracle_is_character(xi)
     assert fine_jump_tuple(flag_of(g), xi) == ((),) * 5
 
 
@@ -222,21 +221,15 @@ def test_skew_form_agrees_across_entry_types(monkeypatch):
 
 
 def test_jump_data_invariants():
+    # the orbit dimension is |J| = |J^m| and even
     rng = Random(6)
     for g in (hmn(3, 2), heisenberg(2)):
         flag = flag_of(g)
         for _ in range(10):
             xi = random_functional(g, rng)
-            data = jump_data(flag, xi)
-            assert data.orbit_dim == len(data.coarse)
-            assert data.orbit_dim % 2 == 0
-            assert data.fine[-1] == data.coarse
-            assert data.partial_isotropies[-1] == data.isotropy
-            iso_direct, odim = isotropy(g, xi)
-            assert data.isotropy == iso_direct and data.orbit_dim == odim
-            for k, sub in enumerate(data.partial_isotropies, start=1):
-                prefix = Subspace.from_vectors(g.dim, flag.rows[:k])
-                assert prefix.contains_subspace(sub)
+            odim = isotropy(g, xi)[1]
+            assert odim == len(fine_jump_tuple(flag, xi)[-1])
+            assert odim % 2 == 0
 
 
 # --- coadjoint action ---------------------------------------------------------

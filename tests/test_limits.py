@@ -1,5 +1,6 @@
 from fractions import Fraction
 from random import Random
+from time import perf_counter
 
 import pytest
 
@@ -11,14 +12,15 @@ from nilorbit.families import heisenberg, hmn, threadlike
 from nilorbit.formats import FormatError
 from nilorbit.limits import (
     LimitError,
+    MAX_EXPONENT,
     direction_family,
-    format_poly,
     one_param_functional,
     orbit_limit_set,
     parse_poly,
     subspace_limit,
 )
 from nilorbit.linalg import Subspace, unit_vec
+from nilorbit.polys import ucoeffs
 from nilorbit.strata import classify_point
 
 F = Fraction
@@ -26,6 +28,27 @@ F = Fraction
 
 def span(dim, *indices):
     return Subspace.from_vectors(dim, [unit_vec(dim, i) for i in indices])
+
+
+def format_poly(p):
+    """A univariate Poly as a family string that parse_poly reads back."""
+    parts = []
+    for e, c in enumerate(ucoeffs(p)):
+        if c == 0:
+            continue
+        if e == 0:
+            parts.append(str(c))
+        else:
+            mono = "t" if e == 1 else f"t^{e}"
+            if c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append(f"-{mono}")
+            elif c.denominator == 1:
+                parts.append(f"{c}{mono}")
+            else:
+                parts.append(f"{c}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 # --- polynomial strings -------------------------------------------------------
@@ -45,6 +68,20 @@ def test_parse_poly_rejects_garbage():
     for bad in ("", "t+", "x^2", "1//2", "1/0", "t/0", "1e5", "0.5t", "t^1e3", "7" * 5000):
         with pytest.raises(FormatError):
             parse_poly(bad)
+
+
+def test_parse_poly_bounds_the_exponent():
+    assert MAX_EXPONENT == 1000
+    p = parse_poly("2t^1000 - t + 3")
+    assert p.degree() == 1000 and len(p.terms) == 3
+    assert p.evaluate((F(1),)) == 4
+    # a dense coefficient list of this length would not fit in memory; the cap
+    # rejects it while reading the term
+    start = perf_counter()
+    for bad in ("t^1001", "1 + t^100000000", "t^" + "9" * 4000):
+        with pytest.raises(FormatError, match="exponent above 1000"):
+            parse_poly(bad)
+    assert perf_counter() - start < 1.0
 
 
 def test_format_parse_roundtrip():

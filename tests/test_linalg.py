@@ -114,7 +114,7 @@ def test_subspace_zero_and_full():
     z = Subspace.zero(3)
     f = Subspace.full(3)
     assert z.dim == 0 and f.dim == 3
-    assert f.contains_subspace(z)
+    assert all(f.contains(v) for v in z.basis)
     assert z.perp() == f
 
 

@@ -1,15 +1,16 @@
 import itertools
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 from conftest import flag_of
-from _oracles import oracle_symbolic_fine_label
+from _oracles import oracle_compare_fine_labels, oracle_compare_index_sets, oracle_symbolic_fine_label
 
 from nilorbit.algebra import center, direct_product
 from nilorbit.coadjoint import (
     dual_functional_by_name,
-    jump_data,
+    fine_jump_tuple,
     zero_functional,
 )
 from nilorbit.families import abelian, heisenberg, hmn, threadlike
@@ -57,6 +58,31 @@ def test_compare_total_order_exhaustive_m5():
                 if compare_index_sets(b, c) == -1:
                     assert compare_index_sets(a, c) == -1
     assert all(compare_index_sets(e, ()) == -1 for e in subsets if e)
+
+
+def _subsets(n):
+    return [e for r in range(n + 1) for e in itertools.combinations(range(1, n + 1), r)]
+
+
+def test_index_set_order_matches_the_set_difference_oracle():
+    subsets = _subsets(6)
+    assert len(subsets) == 64
+    for a in subsets:
+        for b in subsets:
+            assert compare_index_sets(a, b) == oracle_compare_index_sets(a, b), (a, b)
+
+
+def test_fine_label_order_matches_a_lexicographic_scan():
+    rng = Random(2024)
+    subsets = _subsets(6)
+    for _ in range(3000):
+        m = rng.randint(1, 6)
+        # draws from a small pool, so that labels often share components
+        pool = [rng.choice(subsets) for _ in range(3)]
+        a = tuple(rng.choice(pool) for _ in range(m))
+        b = tuple(rng.choice(pool) for _ in range(m))
+        for variant in ("lex_ascending", "lex_descending"):
+            assert compare_fine_labels(a, b, variant) == oracle_compare_fine_labels(a, b, variant), (a, b)
 
 
 def test_compare_fine_labels_variants():
@@ -301,7 +327,6 @@ def test_representatives_have_distinct_jump_data():
         seed=7,
         extra_points=[dual_functional_by_name(g, s) for s in g.basis_names],
     )
-    datas = [jump_data(flag, s.representative) for s in found]
-    for i in range(len(datas)):
-        for j in range(i + 1, len(datas)):
-            assert datas[i].fine != datas[j].fine
+    for s in found:
+        assert fine_jump_tuple(flag, s.representative) == s.label
+    assert len({s.label for s in found}) == len(found)
