@@ -12,6 +12,11 @@ Any other exception is a bug: stderr gets one line, "internal error in
 the seed, so that the run can be reproduced; it exits 1.
 """
 
+# Each cmd_* function imports the mathematics it runs in its body, so a
+# command loads only its own modules: interpreter start-up and imports are
+# most of a short command's time.  (A comment, because the docstring above
+# is the --help text.)
+
 from __future__ import annotations
 
 import argparse
@@ -19,11 +24,9 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .algebra import jordan_holder_flag, lower_central_series, validate_algebra
-from .coadjoint import is_flat_orbit, zero_functional, dual_basis_functional
 from .errors import MathError, UsageError
-from .families import FAMILIES, FamilySpec, generate, recognize_heisenberg_times_abelian, verify_hmn
 from .formats import (
+    ORDER_VARIANTS,
     FormatError,
     algebra_from_json,
     algebra_hash,
@@ -36,14 +39,6 @@ from .formats import (
     functional_to_list,
     parse_json,
     subspace_to_rows,
-)
-from .limits import one_param_functional, orbit_limit_set
-from .strata import (
-    ORDER_VARIANTS,
-    classify_point,
-    composition_layers,
-    enumerate_strata,
-    generic_stratum,
 )
 
 
@@ -61,6 +56,8 @@ def _read_algebra(args):
 
 
 def _require_valid(g):
+    from .algebra import validate_algebra
+
     diags = validate_algebra(g)
     if diags:
         lines = "; ".join(d.message for d in diags)
@@ -114,6 +111,8 @@ def _parse_functional(g, text):
 
 def _layer_probes(g):
     """Deterministic probe set: the origin plus every dual basis vector."""
+    from .coadjoint import dual_basis_functional, zero_functional
+
     return [zero_functional(g)] + [dual_basis_functional(g, i) for i in range(g.dim)]
 
 
@@ -122,12 +121,16 @@ def _layer_probes(g):
 
 
 def cmd_family(args) -> int:
+    from .families import FamilySpec, generate
+
     spec = FamilySpec(args.kind, tuple(args.params))
     sys.stdout.write(algebra_to_json(generate(spec)))
     return 0
 
 
 def cmd_validate(args) -> int:
+    from .algebra import validate_algebra
+
     try:
         g = _read_algebra(args)
     except FormatError as e:
@@ -152,6 +155,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from .algebra import lower_central_series
+
     g = _require_valid(_read_algebra(args))
     chain, step = lower_central_series(g)
     report = {
@@ -164,6 +169,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_flag(args) -> int:
+    from .algebra import jordan_holder_flag
+
     g = _require_valid(_read_algebra(args))
     flag = jordan_holder_flag(g)
     report = {
@@ -174,6 +181,9 @@ def cmd_flag(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .algebra import jordan_holder_flag
+    from .strata import classify_point
+
     g = _require_valid(_read_algebra(args))
     xi = _parse_functional(g, args.functional)
     flag = jordan_holder_flag(g)
@@ -189,6 +199,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_strata(args) -> int:
+    from .algebra import jordan_holder_flag
+    from .strata import enumerate_strata
+
     g = _require_valid(_read_algebra(args))
     flag = jordan_holder_flag(g)
     probes = _layer_probes(g)
@@ -212,6 +225,9 @@ def cmd_strata(args) -> int:
 
 
 def cmd_layers(args) -> int:
+    from .algebra import jordan_holder_flag
+    from .strata import composition_layers, enumerate_strata
+
     g = _require_valid(_read_algebra(args))
     flag = jordan_holder_flag(g)
     found = enumerate_strata(
@@ -237,6 +253,9 @@ def cmd_layers(args) -> int:
 
 
 def cmd_index(args) -> int:
+    from .algebra import jordan_holder_flag
+    from .strata import generic_stratum
+
     g = _require_valid(_read_algebra(args))
     flag = jordan_holder_flag(g)
     result = generic_stratum(
@@ -252,6 +271,8 @@ def cmd_index(args) -> int:
 
 
 def cmd_flat(args) -> int:
+    from .coadjoint import is_flat_orbit
+
     g = _require_valid(_read_algebra(args))
     xi = _parse_functional(g, args.functional)
     res = is_flat_orbit(g, xi, samples=args.samples, seed=args.seed, bound=args.bound)
@@ -269,6 +290,8 @@ def cmd_flat(args) -> int:
 
 
 def cmd_recognize(args) -> int:
+    from .families import recognize_heisenberg_times_abelian
+
     g = _require_valid(_read_algebra(args))
     rec = recognize_heisenberg_times_abelian(g)
     report = {
@@ -281,6 +304,8 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_verify_hmn(args) -> int:
+    from .families import FamilySpec, generate, verify_hmn
+
     rep = verify_hmn(args.m, args.n, seed=args.seed, flat_samples=args.samples, bound=args.bound)
     g = generate(FamilySpec("hmn", (args.m, args.n)))
     report = {
@@ -303,6 +328,8 @@ def cmd_verify_hmn(args) -> int:
 
 
 def cmd_limit(args) -> int:
+    from .limits import one_param_functional, orbit_limit_set
+
     g = _require_valid(_read_algebra(args))
     coords = parse_json(args.family, "family must be a JSON array of polynomial strings", list)
     t0 = frac_parse(args.t0)
@@ -338,6 +365,8 @@ def cmd_limit(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .families import FAMILIES
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", "-i", default="-", help="algebra file, '-' for stdin")
     common.add_argument("--seed", type=int, default=0, help="seed for all sampling")

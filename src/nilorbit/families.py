@@ -20,15 +20,8 @@ from .algebra import (
     lower_central_series,
     quotient,
 )
-from .coadjoint import (
-    Functional,
-    bform_matrix,
-    dual_functional_by_name,
-    is_flat_orbit,
-    isotropy,
-    random_functional,
-)
 from .errors import UsageError
+from .formats import MAX_DIM
 from .linalg import Subspace, rank, unit_vec
 
 
@@ -40,10 +33,14 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in FAMILIES:
             raise UsageError(f"unknown family kind {self.kind!r}")
-        minima = FAMILIES[self.kind][1]
+        _, minima, dim = FAMILIES[self.kind]
         if len(self.params) != len(minima) or any(p < lo for p, lo in zip(self.params, minima.values())):
             needs = " and ".join(f"{name} >= {lo}" for name, lo in minima.items())
             raise UsageError(f"{self.kind}({', '.join(minima)}) needs {needs}")
+        size = dim(*self.params)
+        if size > MAX_DIM:
+            args = ", ".join(map(str, self.params))
+            raise UsageError(f"{self.kind}({args}) has dimension {size}, above the cap of {MAX_DIM}")
 
 
 def heisenberg(d: int) -> LieAlgebra:
@@ -75,12 +72,12 @@ def threadlike(n: int) -> LieAlgebra:
     return lie_algebra(n, names, brackets)
 
 
-# kind -> (builder, the least value of each named parameter)
+# kind -> (builder, the least value of each named parameter, the dimension it builds)
 FAMILIES = {
-    "heisenberg": (heisenberg, {"d": 1}),
-    "abelian": (abelian, {"k": 0}),
-    "hmn": (hmn, {"m": 1, "n": 1}),
-    "threadlike": (threadlike, {"n": 3}),
+    "heisenberg": (heisenberg, {"d": 1}, lambda d: 2 * d + 1),
+    "abelian": (abelian, {"k": 0}, lambda k: k),
+    "hmn": (hmn, {"m": 1, "n": 1}, lambda m, n: m + n + 1),
+    "threadlike": (threadlike, {"n": 3}, lambda n: n),
 }
 
 
@@ -131,6 +128,8 @@ def verify_hmn(m: int, n: int, seed: int = 0, flat_samples: int = 20, bound: int
     redefined away.
     """
     g = generate(FamilySpec("hmn", (m, n)))  # rejects bad parameters before any work
+    from .coadjoint import is_flat_orbit, isotropy, random_functional
+
     if bound < 0:
         raise UsageError("bound must be >= 0")
     if flat_samples < 1:
@@ -231,6 +230,8 @@ def verify_hmn(m: int, n: int, seed: int = 0, flat_samples: int = 20, bound: int
 
 def _probes(g: LieAlgebra, n: int, k: int, rng: Random, bound: int):
     """Y_k^* and a perturbation vanishing on Y_{k+1}..Y_n, <xi, Y_k> = 1 (k = n for item iii)."""
+    from .coadjoint import Functional, dual_functional_by_name
+
     base = dual_functional_by_name(g, f"Y{k}")
     yield base
     coords = list(base.coords)
@@ -258,6 +259,8 @@ def recognize_heisenberg_times_abelian(g: LieAlgebra) -> Recognition | None:
     records that the one-layer-over-characters picture applies.  The
     centrality test is what rejects a non-nilpotent g whose [g, g] is a line.
     """
+    from .coadjoint import Functional, bform_matrix
+
     der = derived_subalgebra(g)
     if der.dim != 1:
         return None

@@ -13,7 +13,6 @@ document reproduces it byte for byte.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import reprlib
@@ -21,9 +20,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import LieAlgebra, lie_algebra
-from .coadjoint import Functional
 from .errors import UsageError
 from .linalg import Subspace
+
+# Input caps, checked before any work that grows with them: the dimension of
+# an algebra document or a generated family (algebras take O(dim^2) memory),
+# and the exponent of t in a limit family string (a dense coefficient list).
+MAX_DIM = 256
+MAX_EXPONENT = 1000
+
+# tuple orders of fine labels; the --order-variant choices of every command
+ORDER_VARIANTS = ("lex_ascending", "lex_descending")
 
 
 class FormatError(UsageError):
@@ -80,6 +87,8 @@ def algebra_from_dict(doc) -> LieAlgebra:
         raise FormatError("brackets must be a JSON array")
     if dim < 0:
         raise FormatError(f"negative dimension {dim}")
+    if dim > MAX_DIM:
+        raise FormatError(f"dimension {dim} is above the cap of {MAX_DIM}")
     if len(basis) != dim:
         raise FormatError(f"{len(basis)} basis names for dimension {dim}")
     if len(set(basis)) != dim:
@@ -135,6 +144,8 @@ def algebra_from_json(text: str) -> LieAlgebra:
 
 
 def algebra_hash(g: LieAlgebra) -> str:
+    import hashlib
+
     return hashlib.sha256(algebra_to_json(g).encode()).hexdigest()
 
 
@@ -145,6 +156,8 @@ def functional_to_list(xi: Functional) -> list[str]:
 def functional_from_list(g: LieAlgebra, entries: Sequence) -> Functional:
     if len(entries) != g.dim:
         raise FormatError(f"functional needs {g.dim} coordinates, got {len(entries)}")
+    from .coadjoint import Functional
+
     return Functional(g, tuple(frac_parse(e) for e in entries))
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 from .algebra import LieAlgebra, center, is_ideal
 from .coadjoint import Functional, bform_matrix, is_flat_orbit, isotropy, skew_form
 from .errors import MathError, UsageError
-from .formats import FormatError, frac_parse
+from .formats import MAX_EXPONENT, FormatError, frac_parse
 from .linalg import Subspace, ZERO, dot, echelon_profile, rank as mat_rank, sub_vec
 from .polys import Poly, strip_row, udet, udiv_exact, ugcd
 
@@ -52,10 +52,6 @@ _TERM_RE = re.compile(
     r"^(?P<coef>[+-]?\d+(?:/\d*[1-9]\d*)?)?\*?(?P<var>t(?:\^(?P<exp>\d+))?)?"
     r"(?:/(?P<den>\d*[1-9]\d*))?$"
 )
-
-
-# the largest exponent of t a family string may use
-MAX_EXPONENT = 1000
 
 
 def parse_poly(text: str) -> Poly:

@@ -225,9 +225,6 @@ class Subspace:
     def contains(self, v: Sequence[Fraction]) -> bool:
         return is_zero_vec(residue(self.basis, self.pivots, v))
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace.from_vectors(self.ambient_dim, list(self.basis) + list(other.basis))
-
     def perp(self) -> "Subspace":
         """Annihilator in the dual coordinates: {w : <w, v> = 0 for all v here}."""
         return kernel_basis(self.basis, self.ambient_dim)

@@ -33,13 +33,12 @@ from .coadjoint import (
     skew_form,
 )
 from .errors import UsageError
+from .formats import ORDER_VARIANTS
 from .linalg import echelon_profile
 from .polys import Poly, strip_row
 
 IndexSetLabel = tuple[int, ...]
 FineLabel = tuple[IndexSetLabel, ...]
-
-ORDER_VARIANTS = ("lex_ascending", "lex_descending")
 
 
 def _index_set_key(e: Iterable[int]) -> tuple:

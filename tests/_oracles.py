@@ -63,6 +63,11 @@ def oracle_kernel(rows, ncols):
     return Subspace.from_vectors(ncols, out)
 
 
+def oracle_subspace_sum(s, t):
+    """s + t, the span of both bases."""
+    return Subspace.from_vectors(s.ambient_dim, list(s.basis) + list(t.basis))
+
+
 def oracle_bracket(g, u, v):
     """[u, v] = sum over the table of (u_i v_j - u_j v_i) c^k_ij, every product taken."""
     out = [Fraction(0)] * g.dim

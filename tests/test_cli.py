@@ -12,11 +12,13 @@ from random import Random
 import pytest
 
 import nilorbit
+import nilorbit.algebra
 import nilorbit.cli
 from nilorbit.cli import main
 from nilorbit.errors import MathError, UsageError
 from nilorbit.families import heisenberg, hmn
 from nilorbit.formats import (
+    MAX_DIM,
     FormatError,
     algebra_from_json,
     algebra_hash,
@@ -224,7 +226,7 @@ def test_internal_error_is_one_line_with_hash_and_seed(h3_file, capsys, monkeypa
     def broken(g):
         raise RuntimeError("flag prefix of dimension 2 is not an ideal")
 
-    monkeypatch.setattr(nilorbit.cli, "jordan_holder_flag", broken)
+    monkeypatch.setattr(nilorbit.algebra, "jordan_holder_flag", broken)
     code = main(["flag", "-i", h3_file, "--seed", "17"])
     err = capsys.readouterr().err
     assert code == 1
@@ -275,8 +277,9 @@ _H3_TEXT = json.dumps(_H3)
 _NONNILPOTENT = '{"dim": 2, "basis": ["A", "B"], "brackets": [{"i": 1, "j": 2, "coeffs": {"1": "1"}}]}'
 _HMN = "error: hmn(m, n) needs m >= 1 and n >= 1"
 _BAD_ARRAY = "error: functional must be a JSON array"
+_ABOVE_CAP = json.dumps({"dim": MAX_DIM + 1, "basis": [f"X{i}" for i in range(MAX_DIM + 1)]})
 
-# name -> (argv, stdin, exit code, start of the one stderr line, cli function made to raise ValueError);
+# name -> (argv, stdin, exit code, start of the one stderr line, algebra function made to raise ValueError);
 # an empty start means nothing on stderr: validate reports a malformed document on stdout
 _EXIT_CODES = {
     "limit-zero-denominator": (["limit", '["0","0","1/0"]'], _H3_TEXT, 2, "error: cannot parse term", None),
@@ -296,6 +299,9 @@ _EXIT_CODES = {
     "limit-exponent-cap": (["limit", '["t^1001","1","0"]'], _H3_TEXT, 2, "error: exponent above 1000", None),
     "family-zero": (["family", "heisenberg", "0"], None, 2, "error: heisenberg(d) needs d >= 1", None),
     "family-arity": (["family", "hmn", "2"], None, 2, _HMN, None),
+    "family-size-cap": (["family", "heisenberg", str(10**9)], None, 2, "error: heisenberg(1000000000) has", None),
+    "verify-hmn-size-cap": (["verify-hmn", "128", "128"], None, 2, "error: hmn(128, 128) has dimension 257", None),
+    "series-size-cap": (["series"], _ABOVE_CAP, 2, "error: dimension 257 is above the cap of 256", None),
     "strata-no-samples": (["strata", "--samples", "0"], _H3_TEXT, 2, "error: need at least one sample", None),
     "strata-bound": (["strata", "--bound", "-1"], _H3_TEXT, 2, "error: bound must be >= 0", None),
     "index-no-samples": (["index", "--mode", "sampled", "--samples", "0"], _H3_TEXT, 2, "error: sampled", None),
@@ -319,7 +325,7 @@ def test_exit_code_table(name, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise ValueError("boom")
 
-        monkeypatch.setattr(nilorbit.cli, broken, boom)
+        monkeypatch.setattr(nilorbit.algebra, broken, boom)
     code = main(argv)
     err = capsys.readouterr().err
     assert code == expected

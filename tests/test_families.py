@@ -14,7 +14,7 @@ from nilorbit.algebra import (
     lie_algebra,
     validate_algebra,
 )
-from nilorbit import families
+from nilorbit import coadjoint, families
 from nilorbit.errors import UsageError
 from nilorbit.families import (
     FamilySpec,
@@ -81,7 +81,7 @@ def test_verify_hmn_rejects_bad_parameters_before_any_work(m, n, monkeypatch):
         raise AssertionError("verification ran on invalid parameters")
 
     monkeypatch.setattr(families, "lower_central_series", no_work)
-    monkeypatch.setattr(families, "dual_functional_by_name", no_work)
+    monkeypatch.setattr(coadjoint, "dual_functional_by_name", no_work)
     with pytest.raises(UsageError, match=r"hmn\(m, n\) needs m >= 1 and n >= 1"):
         verify_hmn(m, n)
 
