@@ -2,7 +2,9 @@
 
 An algebra of dimension m stores only the brackets [X_i, X_j] for i < j as
 sparse coefficient lists; [X_j, X_i] is minus the stored value.  All series,
-flags, quotients and products are computed exactly over the rationals.
+flags, quotients and products are computed exactly over the rationals.  The
+checks that need brackets of basis vectors (Jacobi, [g, g], the center,
+quotients) read that stored table and never bracket dense unit vectors.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .linalg import (
     residue,
     transpose,
     unit_vec,
-    zero_vec,
 )
 
 # ((i, j, ((k, c), ...)), ...) with 0-based i < j and nonzero c only
@@ -64,25 +65,6 @@ class LieAlgebra:
     dim: int
     basis_names: tuple[str, ...]
     brackets: BracketTable
-    _table: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        table = {}
-        for i, j, coeffs in self.brackets:
-            table[(i, j)] = coeffs
-        object.__setattr__(self, "_table", table)
-
-    def bracket_basis(self, i: int, j: int) -> Vec:
-        """[X_i, X_j] as a coordinate vector, any index order."""
-        if i == j:
-            return zero_vec(self.dim)
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        out = [ZERO] * self.dim
-        for k, c in self._table.get((i, j), ()):
-            out[k] = c if sign == 1 else -c
-        return tuple(out)
 
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
         """[u, v]; a table entry whose two products are both zero costs no arithmetic."""
@@ -94,6 +76,14 @@ class LieAlgebra:
                     for k, a in coeffs:
                         out[k] += c * a
         return tuple(out)
+
+
+def _dense(m: int, coeffs) -> list[Fraction]:
+    """A stored coefficient list ((k, c), ...) as a coordinate vector."""
+    out = [ZERO] * m
+    for k, c in coeffs:
+        out[k] = c
+    return out
 
 
 def lie_algebra(
@@ -134,24 +124,32 @@ def validate_algebra(g: LieAlgebra) -> list[Diagnostic]:
     if out:
         return out
 
-    for i in range(m):
-        ei = unit_vec(m, i)
-        for j in range(i + 1, m):
-            ej = unit_vec(m, j)
-            bij = g.bracket_basis(i, j)
-            for k in range(j + 1, m):
-                ek = unit_vec(m, k)
-                s = g.bracket(bij, ek)
-                s = tuple(a + b for a, b in zip(s, g.bracket(g.bracket_basis(j, k), ei)))
-                s = tuple(a + b for a, b in zip(s, g.bracket(g.bracket_basis(k, i), ej)))
-                if any(s):
-                    out.append(
-                        Diagnostic(
-                            "jacobi",
-                            f"Jacobi identity fails on ({g.basis_names[i]}, {g.basis_names[j]}, {g.basis_names[k]})",
-                            (i + 1, j + 1, k + 1),
-                        )
-                    )
+    # Jacobi: for a stored (a, b) and a third index c, [[X_a, X_b], X_c] is
+    # one cyclic term of the sorted triple, negated when a < c < b; it is
+    # the sum of [X_k, X_c] over the terms X_k of [X_a, X_b], and ad[k]
+    # lists the stored [X_k, X_c] as (c, sign, coefficients).
+    ad: list[list] = [[] for _ in range(m)]
+    for i, j, coeffs in g.brackets:
+        ad[i].append((j, 1, coeffs))
+        ad[j].append((i, -1, coeffs))
+    sums: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    for a, b, w in g.brackets:
+        for k, x in w:
+            for c, sign, coeffs in ad[k]:
+                if c == a or c == b:
+                    continue
+                s = sums.setdefault(tuple(sorted((a, b, c))), {})
+                factor = -sign * x if a < c < b else sign * x
+                for t, y in coeffs:
+                    s[t] = s.get(t, ZERO) + factor * y
+    for i, j, k in sorted(t for t, s in sums.items() if any(s.values())):
+        out.append(
+            Diagnostic(
+                "jacobi",
+                f"Jacobi identity fails on ({g.basis_names[i]}, {g.basis_names[j]}, {g.basis_names[k]})",
+                (i + 1, j + 1, k + 1),
+            )
+        )
     try:
         lower_central_series(g)
     except NonNilpotentError as e:
@@ -168,21 +166,14 @@ def validate_algebra(g: LieAlgebra) -> list[Diagnostic]:
 def lower_central_series(g: LieAlgebra) -> tuple[list[Subspace], int]:
     """Chain g >= [g,g] >= [g,[g,g]] >= ... >= 0 and the number of nonzero terms."""
     m = g.dim
-    full = Subspace.full(m)
-    chain = [full]
-    current = full
-    while current.dim > 0:
-        vectors = []
-        for i in range(m):
-            for v in current.basis:
-                vectors.append(g.bracket(unit_vec(m, i), v))
-        nxt = Subspace.from_vectors(m, vectors)
-        if nxt.dim == current.dim:
-            raise NonNilpotentError(current)
+    chain = [Subspace.full(m)]
+    nxt = derived_subalgebra(g)
+    while chain[-1].dim > 0:
+        if nxt.dim == chain[-1].dim:
+            raise NonNilpotentError(chain[-1])
         chain.append(nxt)
-        current = nxt
-    step = len(chain) - 1 if m > 0 else 0
-    return chain, max(step, 0)
+        nxt = Subspace.from_vectors(m, [g.bracket(unit_vec(m, i), v) for i in range(m) for v in nxt.basis])
+    return chain, len(chain) - 1
 
 
 def center(g: LieAlgebra) -> Subspace:
@@ -201,9 +192,8 @@ def center(g: LieAlgebra) -> Subspace:
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
-    """Span of all basis brackets [X_i, X_j]."""
-    vectors = [g.bracket_basis(i, j) for i, j, _ in g.brackets]
-    return Subspace.from_vectors(g.dim, vectors)
+    """[g, g]: the span of the stored brackets [X_i, X_j]."""
+    return Subspace.from_vectors(g.dim, (_dense(g.dim, coeffs) for _, _, coeffs in g.brackets))
 
 
 @dataclass(frozen=True)
@@ -285,17 +275,14 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> LieAlgebra:
         assert witness is not None
         raise NotAnIdealError(*witness)
     comp = tuple(c for c in range(g.dim) if c not in ideal.pivots)
-    n = len(comp)
     names = tuple(g.basis_names[c] for c in comp)
+    position = {c: a for a, c in enumerate(comp)}
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            w = g.bracket(unit_vec(g.dim, comp[a]), unit_vec(g.dim, comp[b]))
-            w = residue(ideal.basis, ideal.pivots, w)
-            coeffs = {idx: w[col] for idx, col in enumerate(comp) if w[col]}
-            if coeffs:
-                brackets[(a, b)] = coeffs
-    return lie_algebra(n, names, brackets)
+    for i, j, coeffs in g.brackets:
+        if i in position and j in position:
+            w = residue(ideal.basis, ideal.pivots, _dense(g.dim, coeffs))
+            brackets[(position[i], position[j])] = {a: w[c] for a, c in enumerate(comp)}
+    return lie_algebra(len(comp), names, brackets)
 
 
 def direct_product(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:

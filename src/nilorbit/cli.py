@@ -365,8 +365,6 @@ def cmd_limit(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .families import FAMILIES
-
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", "-i", default="-", help="algebra file, '-' for stdin")
     common.add_argument("--seed", type=int, default=0, help="seed for all sampling")
@@ -384,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     f = sub.add_parser("family", parents=[common], help="emit a generated algebra")
-    f.add_argument("kind", choices=tuple(FAMILIES))
+    f.add_argument("kind")
     f.add_argument("params", type=int, nargs="*")
     f.set_defaults(func=cmd_family)
 

@@ -32,7 +32,7 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.kind not in FAMILIES:
-            raise UsageError(f"unknown family kind {self.kind!r}")
+            raise UsageError(f"unknown family kind {self.kind!r}; known kinds: {', '.join(FAMILIES)}")
         _, minima, dim = FAMILIES[self.kind]
         if len(self.params) != len(minima) or any(p < lo for p, lo in zip(self.params, minima.values())):
             needs = " and ".join(f"{name} >= {lo}" for name, lo in minima.items())

@@ -198,7 +198,6 @@ class Layer:
 class LayerReport:
     order_variant: str
     layers: tuple[Layer, ...]
-    sampled_lower_bound: bool = True
 
 
 def composition_layers(

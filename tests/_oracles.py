@@ -16,12 +16,15 @@ but one leading block at a time with lowest-degree pivots instead of the
 package's single rank-profile pass.  ``oracle_bracket`` is the dense
 bilinear sum over every table entry, with no zero skipping.
 
-Two definitional routes the package no longer carries live here too:
+Definitional routes the package no longer carries live here too:
 ``oracle_is_character`` pairs xi with every basis bracket, against which
-``jump_set`` (J = {} iff the orbit is a point) is checked, and
+``jump_set`` (J = {} iff the orbit is a point) is checked;
 ``oracle_compare_index_sets`` / ``oracle_compare_fine_labels`` compare
 labels by set differences and a component scan, against which the
-package's sort keys are checked.
+package's sort keys are checked; and ``oracle_jacobi_failures`` tries the
+Jacobi identity on every triple of basis vectors with ``oracle_bracket``,
+against which ``validate_algebra``'s reading of the stored table is
+checked.
 """
 
 from __future__ import annotations
@@ -76,6 +79,24 @@ def oracle_bracket(g, u, v):
         for k, a in coeffs:
             out[k] += c * a
     return tuple(out)
+
+
+def oracle_jacobi_failures(g):
+    """1-based sorted triples (i, j, k) where [[X_i, X_j], X_k] + cyclic != 0, every triple tried."""
+    m = g.dim
+    e = [unit_vec(m, i) for i in range(m)]
+    out = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(j + 1, m):
+                terms = (
+                    oracle_bracket(g, oracle_bracket(g, e[i], e[j]), e[k]),
+                    oracle_bracket(g, oracle_bracket(g, e[j], e[k]), e[i]),
+                    oracle_bracket(g, oracle_bracket(g, e[k], e[i]), e[j]),
+                )
+                if any(map(sum, zip(*terms))):
+                    out.append((i + 1, j + 1, k + 1))
+    return out
 
 
 def oracle_ad_matrix(g, x):
@@ -204,7 +225,8 @@ def oracle_is_character(xi) -> bool:
     """True iff xi vanishes on every basis bracket [X_i, X_j], i.e. the orbit is a point."""
     g = xi.algebra
     return all(
-        sum(c * x for c, x in zip(g.bracket_basis(i, j), xi.coords)) == 0 for i, j, _ in g.brackets
+        sum(c * x for c, x in zip(oracle_bracket(g, unit_vec(g.dim, i), unit_vec(g.dim, j)), xi.coords)) == 0
+        for i, j, _ in g.brackets
     )
 
 

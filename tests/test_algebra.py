@@ -1,11 +1,13 @@
+import time
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from _oracles import oracle_ad_matrix, oracle_bracket, oracle_rank
+from _oracles import oracle_ad_matrix, oracle_bracket, oracle_jacobi_failures, oracle_rank
 
 from nilorbit.algebra import (
+    NonNilpotentError,
     NotAnIdealError,
     center,
     change_basis,
@@ -19,7 +21,7 @@ from nilorbit.algebra import (
     validate_algebra,
 )
 from nilorbit.families import abelian, heisenberg, hmn, random_unimodular, threadlike
-from nilorbit.linalg import Subspace, mat_vec, unit_vec, vec
+from nilorbit.linalg import Subspace, mat_vec, residue, unit_vec, vec
 
 F = Fraction
 
@@ -65,6 +67,59 @@ def test_validate_all_generated_families():
     algebras += [hmn(m, n) for m in range(1, 7) for n in range(1, 7)]
     for g in algebras:
         assert validate_algebra(g) == []
+
+
+def _random_table(rng):
+    """Seeded structure constants on dims 0-6, pointing only to later indices or anywhere."""
+    m = rng.randint(0, 6)
+    upward = rng.random() < 0.6
+    brackets = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            if rng.random() < 0.35:
+                targets = range(j + 1, m) if upward else range(m)
+                brackets[(i, j)] = {k: F(rng.randint(-2, 2), rng.randint(1, 2)) for k in targets if rng.random() < 0.4}
+    return lie_algebra(m, [f"X{i}" for i in range(1, m + 1)], brackets)
+
+
+def _oracle_bracket_span(g, vectors):
+    return Subspace.from_vectors(g.dim, [oracle_bracket(g, unit_vec(g.dim, i), v) for i in range(g.dim) for v in vectors])
+
+
+def test_stored_table_checks_match_the_dense_oracles_on_random_tables():
+    rng = Random(20)
+    seen = {"valid": 0, "jacobi": 0, "non_nilpotent": 0}
+    for _ in range(240):
+        g = _random_table(rng)
+        m = g.dim
+        diags = validate_algebra(g)
+        assert [d.data for d in diags if d.kind == "jacobi"] == oracle_jacobi_failures(g)
+        units = [unit_vec(m, i) for i in range(m)]
+        assert derived_subalgebra(g) == _oracle_bracket_span(g, units)
+        try:
+            chain, step = lower_central_series(g)
+        except NonNilpotentError as e:
+            assert e.stabilized.dim > 0 and _oracle_bracket_span(g, e.stabilized.basis) == e.stabilized
+        else:
+            assert chain[0] == Subspace.full(m) and chain[-1].dim == 0 and step == len(chain) - 1
+            for before, term in zip(chain, chain[1:]):
+                assert term == _oracle_bracket_span(g, before.basis)
+        z = center(g)
+        q = quotient(g, z)
+        comp = [c for c in range(m) if c not in z.pivots]
+        for a in range(q.dim):
+            for b in range(a + 1, q.dim):
+                w = residue(z.basis, z.pivots, oracle_bracket(g, units[comp[a]], units[comp[b]]))
+                assert q.bracket(unit_vec(q.dim, a), unit_vec(q.dim, b)) == tuple(w[c] for c in comp)
+        for kind in {d.kind for d in diags} or {"valid"}:
+            seen[kind] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_validate_dim_81_heisenberg_is_fast():
+    start = time.perf_counter()
+    assert validate_algebra(heisenberg(40)) == []
+    assert time.perf_counter() - start < 5
 
 
 # --- series, center, derived ----------------------------------------------

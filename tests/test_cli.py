@@ -298,6 +298,7 @@ _EXIT_CODES = {
     "limit-negative-budget": (["limit", '["t","1","0"]', "--budget", "-3"], _H3_TEXT, 2, "error: sample budget", None),
     "limit-exponent-cap": (["limit", '["t^1001","1","0"]'], _H3_TEXT, 2, "error: exponent above 1000", None),
     "family-zero": (["family", "heisenberg", "0"], None, 2, "error: heisenberg(d) needs d >= 1", None),
+    "family-unknown-kind": (["family", "lie", "3"], None, 2, "error: unknown family kind 'lie'; known kinds: heisenberg,", None),
     "family-arity": (["family", "hmn", "2"], None, 2, _HMN, None),
     "family-size-cap": (["family", "heisenberg", str(10**9)], None, 2, "error: heisenberg(1000000000) has", None),
     "verify-hmn-size-cap": (["verify-hmn", "128", "128"], None, 2, "error: hmn(128, 128) has dimension 257", None),

@@ -14,6 +14,7 @@ from nilorbit.formats import (
     functional_from_list,
     functional_to_list,
 )
+from nilorbit.linalg import unit_vec
 
 F = Fraction
 
@@ -54,7 +55,7 @@ def test_algebra_json_shape():
         '{"dim": 3, "basis": ["Z", "X", "Y"],'
         ' "brackets": [{"i": 2, "j": 3, "coeffs": {"1": "1"}}]}'
     )
-    assert g.bracket_basis(1, 2) == (F(1), F(0), F(0))
+    assert g.bracket(unit_vec(3, 1), unit_vec(3, 2)) == (F(1), F(0), F(0))
 
 
 def test_algebra_from_json_rejects_malformed():

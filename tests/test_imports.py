@@ -35,7 +35,9 @@ def test_import_nilorbit_loads_no_submodule():
 def test_cli_parser_leaves_the_mathematics_unloaded():
     loaded = _loaded_after("import nilorbit.cli; nilorbit.cli.build_parser()")
     assert "nilorbit.cli" in loaded
-    assert not loaded & {"nilorbit.coadjoint", "nilorbit.strata", "nilorbit.polys", "nilorbit.limits"}
+    assert not loaded & {
+        "nilorbit.coadjoint", "nilorbit.strata", "nilorbit.polys", "nilorbit.limits", "nilorbit.families"
+    }
 
 
 @pytest.mark.parametrize("argv", [["series"], ["family", "hmn", "2", "2"]])
@@ -49,6 +51,8 @@ def test_command_loads_neither_polys_nor_limits(argv, tmp_path):
     loaded = _loaded_after(code)
     assert "nilorbit.algebra" in loaded
     assert not loaded & {"nilorbit.polys", "nilorbit.limits"}
+    if argv[0] == "series":
+        assert "nilorbit.families" not in loaded
 
 
 def test_every_exported_name_resolves_to_its_home_object():
