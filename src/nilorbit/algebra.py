@@ -9,7 +9,6 @@ quotients) read that stored table and never bracket dense unit vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -26,6 +25,7 @@ from .linalg import (
     transpose,
     unit_vec,
 )
+from .records import Record, setfield
 
 # ((i, j, ((k, c), ...)), ...) with 0-based i < j and nonzero c only
 BracketTable = tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
@@ -53,18 +53,22 @@ class NotAnIdealError(MathError):
         )
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    kind: str  # "malformed" | "jacobi" | "non_nilpotent"
-    message: str
-    data: tuple = ()
+class Diagnostic(Record):
+    __slots__ = ("kind", "message", "data")
+
+    def __init__(self, kind: str, message: str, data: tuple = ()):
+        setfield(self, "kind", kind)  # "malformed" | "jacobi" | "non_nilpotent"
+        setfield(self, "message", message)
+        setfield(self, "data", data)
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
-    dim: int
-    basis_names: tuple[str, ...]
-    brackets: BracketTable
+class LieAlgebra(Record):
+    __slots__ = ("dim", "basis_names", "brackets")
+
+    def __init__(self, dim: int, basis_names: tuple[str, ...], brackets: BracketTable):
+        setfield(self, "dim", dim)
+        setfield(self, "basis_names", basis_names)
+        setfield(self, "brackets", brackets)
 
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
         """[u, v]; a table entry whose two products are both zero costs no arithmetic."""
@@ -100,12 +104,24 @@ def lie_algebra(
     return LieAlgebra(dim, tuple(basis_names), tuple(entries))
 
 
-def validate_algebra(g: LieAlgebra) -> list[Diagnostic]:
-    """Well-formedness, Jacobi and nilpotency diagnostics; empty iff valid."""
+def validate_algebra(g: LieAlgebra, *, with_series: bool = False):
+    """Well-formedness, Jacobi and nilpotency diagnostics; empty iff valid.
+
+    With `with_series`, the result is `(diagnostics, series)`: `series` is the
+    `(chain, step)` of `lower_central_series` that the nilpotency check
+    computed, or None where that check did not finish (a malformed table or a
+    non-nilpotent algebra).  A command holding a valid algebra uses it instead
+    of computing the series again.
+    """
+    diags, series = _diagnose(g)
+    return (diags, series) if with_series else diags
+
+
+def _diagnose(g: LieAlgebra) -> tuple[list[Diagnostic], tuple[list[Subspace], int] | None]:
     out: list[Diagnostic] = []
     m = g.dim
     if m < 0:
-        return [Diagnostic("malformed", f"negative dimension {m}")]
+        return [Diagnostic("malformed", f"negative dimension {m}")], None
     if len(g.basis_names) != m:
         out.append(
             Diagnostic("malformed", f"{len(g.basis_names)} basis names for dimension {m}")
@@ -122,7 +138,7 @@ def validate_algebra(g: LieAlgebra) -> list[Diagnostic]:
             if not 0 <= k < m:
                 out.append(Diagnostic("malformed", f"bracket target {k + 1} out of range in ({i + 1}, {j + 1})", (i + 1, j + 1, k + 1)))
     if out:
-        return out
+        return out, None
 
     # Jacobi: for a stored (a, b) and a third index c, [[X_a, X_b], X_c] is
     # one cyclic term of the sorted triple, negated when a < c < b; it is
@@ -151,7 +167,7 @@ def validate_algebra(g: LieAlgebra) -> list[Diagnostic]:
             )
         )
     try:
-        lower_central_series(g)
+        series = lower_central_series(g)
     except NonNilpotentError as e:
         out.append(
             Diagnostic(
@@ -160,7 +176,8 @@ def validate_algebra(g: LieAlgebra) -> list[Diagnostic]:
                 tuple(e.stabilized.basis),
             )
         )
-    return out
+        return out, None
+    return out, series
 
 
 def lower_central_series(g: LieAlgebra) -> tuple[list[Subspace], int]:
@@ -196,45 +213,57 @@ def derived_subalgebra(g: LieAlgebra) -> Subspace:
     return Subspace.from_vectors(g.dim, (_dense(g.dim, coeffs) for _, _, coeffs in g.brackets))
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Record):
     """A Jordan-Hoelder flag: row j of `rows` spans g_j over g_{j-1}.
 
     Every prefix span must be an ideal; `pair_support` caches, for each pair
     a < b with a nonzero bracket, the stored-basis expansion of
     [rows[a], rows[b]] as a bracket-table entry (a, b, ((i, c), ...)), so that
-    skew forms in flag coordinates are cheap to assemble.
+    skew forms in flag coordinates are cheap to assemble.  It is computed
+    from the other two fields, and equality, hashing and the repr leave it out.
     """
 
-    algebra: LieAlgebra
-    rows: tuple[Vec, ...]
-    pair_support: BracketTable = field(default=(), repr=False, compare=False)
+    __slots__ = ("algebra", "rows", "pair_support")
 
-    def __post_init__(self):
-        g = self.algebra
+    def __init__(self, algebra: LieAlgebra, rows: tuple[Vec, ...]):
+        setfield(self, "algebra", algebra)
+        setfield(self, "rows", rows)
         support = []
-        for a in range(g.dim):
-            for b in range(a + 1, g.dim):
-                w = g.bracket(self.rows[a], self.rows[b])
+        for a in range(algebra.dim):
+            for b in range(a + 1, algebra.dim):
+                w = algebra.bracket(rows[a], rows[b])
                 sparse = tuple((i, c) for i, c in enumerate(w) if c)
                 if sparse:
                     support.append((a, b, sparse))
-        object.__setattr__(self, "pair_support", tuple(support))
+        setfield(self, "pair_support", tuple(support))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.rows) == (other.algebra, other.rows)
+
+    def __hash__(self):
+        return hash((self.algebra, self.rows))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(algebra={self.algebra!r}, rows={self.rows!r})"
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
 
 
-def jordan_holder_flag(g: LieAlgebra) -> Flag:
+def jordan_holder_flag(g: LieAlgebra, chain: Sequence[Subspace] | None = None) -> Flag:
     """Deterministic Jordan-Hoelder flag refining the lower central series.
 
     Walking the series from its deepest nonzero member outward, each layer is
     filled with the echelon basis vectors of that member in pivot order.  Each
     accepted row is checked at once: [g, rows[a]] must lie in the span of
     rows[0..a].  Together these checks say that every prefix is an ideal.
+    `chain` is g's lower central series when the caller has it already.
     """
-    chain, _ = lower_central_series(g)
+    if chain is None:
+        chain, _ = lower_central_series(g)
     m = g.dim
     acc = RrefAccumulator(m)
     ordered: list[Vec] = []

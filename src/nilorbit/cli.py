@@ -55,14 +55,16 @@ def _read_algebra(args):
     return args.algebra
 
 
-def _require_valid(g):
+def _read_valid_algebra(args):
+    """The input algebra and validation's (chain, step) of its lower central series; MathError if invalid."""
     from .algebra import validate_algebra
 
-    diags = validate_algebra(g)
+    g = _read_algebra(args)
+    diags, series = validate_algebra(g, with_series=True)
     if diags:
         lines = "; ".join(d.message for d in diags)
         raise MathError(f"invalid algebra: {lines}")
-    return g
+    return g, series
 
 
 def _envelope(args, g, command, report):
@@ -155,10 +157,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_series(args) -> int:
-    from .algebra import lower_central_series
-
-    g = _require_valid(_read_algebra(args))
-    chain, step = lower_central_series(g)
+    g, (chain, step) = _read_valid_algebra(args)
     report = {
         "step": step,
         "terms": [
@@ -171,8 +170,8 @@ def cmd_series(args) -> int:
 def cmd_flag(args) -> int:
     from .algebra import jordan_holder_flag
 
-    g = _require_valid(_read_algebra(args))
-    flag = jordan_holder_flag(g)
+    g, (chain, _) = _read_valid_algebra(args)
+    flag = jordan_holder_flag(g, chain)
     report = {
         "rows": [[frac_str(c) for c in row] for row in flag.rows],
         "ideal_property_verified": True,
@@ -184,9 +183,9 @@ def cmd_classify(args) -> int:
     from .algebra import jordan_holder_flag
     from .strata import classify_point
 
-    g = _require_valid(_read_algebra(args))
+    g, (chain, _) = _read_valid_algebra(args)
     xi = _parse_functional(g, args.functional)
-    flag = jordan_holder_flag(g)
+    flag = jordan_holder_flag(g, chain)
     coarse, fine = classify_point(flag, xi)
     report = {
         "coarse": list(coarse),
@@ -202,8 +201,8 @@ def cmd_strata(args) -> int:
     from .algebra import jordan_holder_flag
     from .strata import enumerate_strata
 
-    g = _require_valid(_read_algebra(args))
-    flag = jordan_holder_flag(g)
+    g, (chain, _) = _read_valid_algebra(args)
+    flag = jordan_holder_flag(g, chain)
     probes = _layer_probes(g)
     for text in args.probe or []:
         probes.append(_parse_functional(g, text))
@@ -228,8 +227,8 @@ def cmd_layers(args) -> int:
     from .algebra import jordan_holder_flag
     from .strata import composition_layers, enumerate_strata
 
-    g = _require_valid(_read_algebra(args))
-    flag = jordan_holder_flag(g)
+    g, (chain, _) = _read_valid_algebra(args)
+    flag = jordan_holder_flag(g, chain)
     found = enumerate_strata(
         flag, args.samples, seed=args.seed, extra_points=_layer_probes(g), bound=args.bound
     )
@@ -256,8 +255,8 @@ def cmd_index(args) -> int:
     from .algebra import jordan_holder_flag
     from .strata import generic_stratum
 
-    g = _require_valid(_read_algebra(args))
-    flag = jordan_holder_flag(g)
+    g, (chain, _) = _read_valid_algebra(args)
+    flag = jordan_holder_flag(g, chain)
     result = generic_stratum(
         flag, mode=args.mode, samples=args.samples, seed=args.seed, bound=args.bound
     )
@@ -273,7 +272,7 @@ def cmd_index(args) -> int:
 def cmd_flat(args) -> int:
     from .coadjoint import is_flat_orbit
 
-    g = _require_valid(_read_algebra(args))
+    g, _ = _read_valid_algebra(args)
     xi = _parse_functional(g, args.functional)
     res = is_flat_orbit(g, xi, samples=args.samples, seed=args.seed, bound=args.bound)
     report = {
@@ -292,7 +291,7 @@ def cmd_flat(args) -> int:
 def cmd_recognize(args) -> int:
     from .families import recognize_heisenberg_times_abelian
 
-    g = _require_valid(_read_algebra(args))
+    g, _ = _read_valid_algebra(args)
     rec = recognize_heisenberg_times_abelian(g)
     report = {
         "recognized": rec is not None,
@@ -330,7 +329,7 @@ def cmd_verify_hmn(args) -> int:
 def cmd_limit(args) -> int:
     from .limits import one_param_functional, orbit_limit_set
 
-    g = _require_valid(_read_algebra(args))
+    g, _ = _read_valid_algebra(args)
     coords = parse_json(args.family, "family must be a JSON array of polynomial strings", list)
     t0 = frac_parse(args.t0)
     xi_t = one_param_functional(g, [str(c) for c in coords], t0=t0)

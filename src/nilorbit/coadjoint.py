@@ -30,7 +30,6 @@ test (J = {} iff xi vanishes on [g, g]) is ``oracle_is_character``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -50,20 +49,19 @@ from .linalg import (
     vec,
     zero_vec,
 )
+from .records import Record, setfield
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(Record):
     """A point of the dual space, <xi, X_j> = coords[j]."""
 
-    algebra: LieAlgebra
-    coords: Vec
+    __slots__ = ("algebra", "coords")
 
-    def __post_init__(self):
-        if len(self.coords) != self.algebra.dim:
-            raise ValueError(
-                f"functional has {len(self.coords)} coordinates for dimension {self.algebra.dim}"
-            )
+    def __init__(self, algebra: LieAlgebra, coords: Vec):
+        if len(coords) != algebra.dim:
+            raise ValueError(f"functional has {len(coords)} coordinates for dimension {algebra.dim}")
+        setfield(self, "algebra", algebra)
+        setfield(self, "coords", coords)
 
     def scale(self, t: Fraction) -> "Functional":
         return Functional(self.algebra, tuple(t * c for c in self.coords))
@@ -189,25 +187,16 @@ def coadjoint_move(g: LieAlgebra, xi: Functional, x: Sequence[Fraction]) -> Func
     return Functional(g, tuple(total))
 
 
-@dataclass(frozen=True)
-class AffineOrbit:
-    base: Functional
-    direction: Subspace
+class AffineOrbit(Record):
+    __slots__ = ("base", "direction")
 
 
-@dataclass(frozen=True)
-class FlatnessCertificate:
-    isotropy_is_ideal: bool
-    samples_checked: int
-    samples_inside: int
-    escape_witness: Vec | None
+class FlatnessCertificate(Record):
+    __slots__ = ("isotropy_is_ideal", "samples_checked", "samples_inside", "escape_witness")
 
 
-@dataclass(frozen=True)
-class FlatnessResult:
-    flat: bool
-    certificate: FlatnessCertificate
-    orbit: AffineOrbit | None
+class FlatnessResult(Record):
+    __slots__ = ("flat", "certificate", "orbit")
 
 
 def is_flat_orbit(

@@ -7,7 +7,6 @@ identity basis order is already a Jordan-Hoelder flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -23,24 +22,25 @@ from .algebra import (
 from .errors import UsageError
 from .formats import MAX_DIM
 from .linalg import Subspace, rank, unit_vec
+from .records import Record, setfield
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    kind: str  # a key of FAMILIES
-    params: tuple[int, ...]
+class FamilySpec(Record):
+    __slots__ = ("kind", "params")
 
-    def __post_init__(self):
-        if self.kind not in FAMILIES:
-            raise UsageError(f"unknown family kind {self.kind!r}; known kinds: {', '.join(FAMILIES)}")
-        _, minima, dim = FAMILIES[self.kind]
-        if len(self.params) != len(minima) or any(p < lo for p, lo in zip(self.params, minima.values())):
+    def __init__(self, kind: str, params: tuple[int, ...]):
+        if kind not in FAMILIES:
+            raise UsageError(f"unknown family kind {kind!r}; known kinds: {', '.join(FAMILIES)}")
+        _, minima, dim = FAMILIES[kind]
+        if len(params) != len(minima) or any(p < lo for p, lo in zip(params, minima.values())):
             needs = " and ".join(f"{name} >= {lo}" for name, lo in minima.items())
-            raise UsageError(f"{self.kind}({', '.join(minima)}) needs {needs}")
-        size = dim(*self.params)
+            raise UsageError(f"{kind}({', '.join(minima)}) needs {needs}")
+        size = dim(*params)
         if size > MAX_DIM:
-            args = ", ".join(map(str, self.params))
-            raise UsageError(f"{self.kind}({args}) has dimension {size}, above the cap of {MAX_DIM}")
+            args = ", ".join(map(str, params))
+            raise UsageError(f"{kind}({args}) has dimension {size}, above the cap of {MAX_DIM}")
+        setfield(self, "kind", kind)  # a key of FAMILIES
+        setfield(self, "params", params)
 
 
 def heisenberg(d: int) -> LieAlgebra:
@@ -91,20 +91,12 @@ def _span_of_names(g: LieAlgebra, names: Sequence[str]) -> Subspace:
     )
 
 
-@dataclass(frozen=True)
-class VerifyItem:
-    item: str
-    applicable: bool
-    passed: bool
-    detail: str
+class VerifyItem(Record):
+    __slots__ = ("item", "applicable", "passed", "detail")
 
 
-@dataclass(frozen=True)
-class HmnReport:
-    m: int
-    n: int
-    items: tuple[VerifyItem, ...]
-    notes: tuple[str, ...]
+class HmnReport(Record):
+    __slots__ = ("m", "n", "items", "notes")
 
     @property
     def all_passed(self) -> bool:
@@ -242,11 +234,8 @@ def _probes(g: LieAlgebra, n: int, k: int, rng: Random, bound: int):
     yield Functional(g, tuple(coords))
 
 
-@dataclass(frozen=True)
-class Recognition:
-    d: int
-    k: int
-    note: str | None
+class Recognition(Record):
+    __slots__ = ("d", "k", "note")
 
 
 def recognize_heisenberg_times_abelian(g: LieAlgebra) -> Recognition | None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -24,23 +23,24 @@ from .errors import MathError, UsageError
 from .formats import MAX_EXPONENT, FormatError, frac_parse
 from .linalg import Subspace, ZERO, dot, echelon_profile, rank as mat_rank, sub_vec
 from .polys import Poly, strip_row, udet, udiv_exact, ugcd
+from .records import Record, setfield
 
 
 class LimitError(MathError):
     pass
 
 
-@dataclass(frozen=True)
-class OneParamFunctional:
+class OneParamFunctional(Record):
     """xi(t): each dual coordinate is a univariate polynomial in t."""
 
-    algebra: LieAlgebra
-    coord_polys: tuple[Poly, ...]
-    t0: Fraction = Fraction(0)
+    __slots__ = ("algebra", "coord_polys", "t0")
 
-    def __post_init__(self):
-        if len(self.coord_polys) != self.algebra.dim:
+    def __init__(self, algebra: LieAlgebra, coord_polys: tuple[Poly, ...], t0: Fraction = Fraction(0)):
+        if len(coord_polys) != algebra.dim:
             raise ValueError("coordinate count does not match the algebra dimension")
+        setfield(self, "algebra", algebra)
+        setfield(self, "coord_polys", coord_polys)
+        setfield(self, "t0", t0)
 
     def at(self, t) -> Functional:
         t = Fraction(t)
@@ -91,13 +91,10 @@ def one_param_functional(g: LieAlgebra, coord_strings: Sequence[str], t0=0) -> O
     return OneParamFunctional(g, tuple(parse_poly(s) for s in coord_strings), Fraction(t0))
 
 
-@dataclass(frozen=True)
-class DirectionFamily:
+class DirectionFamily(Record):
     """Polynomial basis of V(t) = g(xi(t))^perp and its generic rank."""
 
-    rows: tuple[tuple[Poly, ...], ...]
-    rank: int
-    ambient_dim: int
+    __slots__ = ("rows", "rank", "ambient_dim")
 
 
 def direction_family(g: LieAlgebra, xi_t: OneParamFunctional) -> DirectionFamily:
@@ -168,27 +165,25 @@ def subspace_limit(fam: DirectionFamily, t0) -> Subspace:
     return sub
 
 
-@dataclass(frozen=True)
-class OrbitClass:
-    representative: Functional
-    orbit_dim: int
-    size: int
+class OrbitClass(Record):
+    __slots__ = ("representative", "orbit_dim", "size")
 
 
-@dataclass(frozen=True)
-class LimitReport:
-    limit_direction: Subspace
-    limit_base: Functional
-    generic_rank: int
-    degenerated: bool
-    annihilated: tuple[str, ...]
-    decomposition: tuple[OrbitClass, ...]
-    slice_count: int
-    min_orbits_per_slice: int
-    isolated_point_flag: bool
-    m_dim: int
-    samples: int
-    seed: int
+class LimitReport(Record):
+    __slots__ = (
+        "limit_direction",
+        "limit_base",
+        "generic_rank",
+        "degenerated",
+        "annihilated",
+        "decomposition",
+        "slice_count",
+        "min_orbits_per_slice",
+        "isolated_point_flag",
+        "m_dim",
+        "samples",
+        "seed",
+    )
 
 
 def orbit_limit_set(

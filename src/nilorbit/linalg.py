@@ -12,10 +12,11 @@ and over ``Poly`` rows (symbolic labels and direction families).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
+
+from .records import Record, setfield
 
 Vec = tuple[Fraction, ...]
 
@@ -198,13 +199,15 @@ def transpose(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return [list(col) for col in zip(*rows)] if rows else []
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """A linear subspace of Q^n stored as canonical RREF rows."""
 
-    ambient_dim: int
-    basis: tuple[Vec, ...]
-    pivots: tuple[int, ...]
+    __slots__ = ("ambient_dim", "basis", "pivots")
+
+    def __init__(self, ambient_dim: int, basis: tuple[Vec, ...], pivots: tuple[int, ...]):
+        setfield(self, "ambient_dim", ambient_dim)
+        setfield(self, "basis", basis)
+        setfield(self, "pivots", pivots)
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":

@@ -10,18 +10,21 @@ monomial factor common to a whole row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
+from .records import Record, setfield
+
 Mono = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Poly:
-    nvars: int
-    terms: tuple[tuple[Mono, Fraction], ...]  # sorted by monomial, nonzero coefficients
+class Poly(Record):
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: tuple[tuple[Mono, Fraction], ...]):
+        setfield(self, "nvars", nvars)
+        setfield(self, "terms", terms)  # sorted by monomial, nonzero coefficients
 
     @classmethod
     def make(cls, nvars: int, data: dict[Mono, Fraction]) -> "Poly":

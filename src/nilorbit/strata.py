@@ -19,7 +19,6 @@ loop that labels points, with ``polys.strip_row`` as its row normaliser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
 from random import Random
 from typing import Iterable, Sequence
@@ -36,6 +35,7 @@ from .errors import UsageError
 from .formats import ORDER_VARIANTS
 from .linalg import echelon_profile
 from .polys import Poly, strip_row
+from .records import Record
 
 IndexSetLabel = tuple[int, ...]
 FineLabel = tuple[IndexSetLabel, ...]
@@ -89,12 +89,8 @@ def character_label(m: int) -> FineLabel:
     return tuple(() for _ in range(m))
 
 
-@dataclass(frozen=True)
-class IndexResult:
-    ind: int
-    generic_label: IndexSetLabel
-    generic_fine: FineLabel
-    certification: dict
+class IndexResult(Record):
+    __slots__ = ("ind", "generic_label", "generic_fine", "certification")
 
 
 def _symbolic_fine_label(flag: Flag) -> FineLabel:
@@ -146,11 +142,8 @@ def generic_stratum(
     return IndexResult(m - len(coarse), coarse, fine, cert)
 
 
-@dataclass(frozen=True)
-class StratumSample:
-    label: FineLabel
-    representative: Functional
-    orbit_dim: int
+class StratumSample(Record):
+    __slots__ = ("label", "representative", "orbit_dim")
 
 
 def enumerate_strata(
@@ -185,19 +178,12 @@ def enumerate_strata(
     return out
 
 
-@dataclass(frozen=True)
-class Layer:
-    label: FineLabel
-    representative: Functional
-    orbit_dim: int
-    is_character_layer: bool
-    character_dim: int | None
+class Layer(Record):
+    __slots__ = ("label", "representative", "orbit_dim", "is_character_layer", "character_dim")
 
 
-@dataclass(frozen=True)
-class LayerReport:
-    order_variant: str
-    layers: tuple[Layer, ...]
+class LayerReport(Record):
+    __slots__ = ("order_variant", "layers")
 
 
 def composition_layers(

@@ -60,6 +60,20 @@ def test_validate_reports_malformed_indices():
     assert diags and diags[0].kind == "malformed"
 
 
+def test_validate_with_series_hands_back_the_lower_central_series():
+    g = hmn(2, 2)
+    diags, series = validate_algebra(g, with_series=True)
+    assert diags == [] and series == lower_central_series(g)
+    from nilorbit.algebra import LieAlgebra
+
+    for bad in (
+        lie_algebra(3, ["Z", "X", "Y"], {(1, 2): {1: F(1)}}),  # non-nilpotent
+        LieAlgebra(2, ("a", "b"), ((0, 5, ((0, F(1)),)),)),  # malformed
+    ):
+        diags, series = validate_algebra(bad, with_series=True)
+        assert diags == validate_algebra(bad) != [] and series is None
+
+
 def test_validate_all_generated_families():
     algebras = [heisenberg(d) for d in (1, 2, 3)]
     algebras += [abelian(k) for k in (0, 1, 5)]

@@ -223,7 +223,7 @@ def test_text_format(h3_file, capsys):
 
 
 def test_internal_error_is_one_line_with_hash_and_seed(h3_file, capsys, monkeypatch):
-    def broken(g):
+    def broken(*args):
         raise RuntimeError("flag prefix of dimension 2 is not an ideal")
 
     monkeypatch.setattr(nilorbit.algebra, "jordan_holder_flag", broken)
@@ -233,6 +233,22 @@ def test_internal_error_is_one_line_with_hash_and_seed(h3_file, capsys, monkeypa
     assert err.startswith("internal error in flag: flag prefix of dimension 2 is not an ideal")
     assert algebra_hash(heisenberg(1)) in err and "seed 17" in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["series", "flag", "strata"])
+def test_command_computes_the_lower_central_series_once(command, h3_file, capsys, monkeypatch):
+    """Validation hands its series to the command instead of dropping it."""
+    calls = []
+    series = nilorbit.algebra.lower_central_series
+
+    def counting(g):
+        calls.append(g)
+        return series(g)
+
+    monkeypatch.setattr(nilorbit.algebra, "lower_central_series", counting)
+    code, out = run_cli([command, "-i", h3_file], capsys=capsys)
+    assert code == 0 and json.loads(out)["command"] == command
+    assert len(calls) == 1
 
 
 def test_usage_error_without_subcommand():
