@@ -3,8 +3,9 @@
 An algebra of dimension m stores only the brackets [X_i, X_j] for i < j as
 sparse coefficient lists; [X_j, X_i] is minus the stored value.  All series,
 flags, quotients and products are computed exactly over the rationals.  The
-checks that need brackets of basis vectors (Jacobi, [g, g], the center,
-quotients) read that stored table and never bracket dense unit vectors.
+table is read for brackets only through the per-index lists of `ad_lists`:
+`bracket` takes [u, v] and `ad_images` every [X_c, v] at once, touching only
+the stored entries at nonzero coordinates.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from .linalg import (
     mat_vec,
     residue,
     transpose,
-    unit_vec,
 )
 from .records import Record, setfield
 
 # ((i, j, ((k, c), ...)), ...) with 0-based i < j and nonzero c only
 BracketTable = tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
+# ad[k] = [(c, sign, coeffs), ...]: the stored [X_k, X_c] is sign * coeffs
+AdLists = list[list[tuple[int, int, tuple[tuple[int, Fraction], ...]]]]
 
 
 class NonNilpotentError(MathError):
@@ -70,16 +72,41 @@ class LieAlgebra(Record):
         setfield(self, "basis_names", basis_names)
         setfield(self, "brackets", brackets)
 
-    def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-        """[u, v]; a table entry whose two products are both zero costs no arithmetic."""
-        out = [ZERO] * self.dim
-        for i, j, coeffs in self.brackets:
-            if (u[i] and v[j]) or (u[j] and v[i]):
-                c = u[i] * v[j] - u[j] * v[i]
-                if c:
-                    for k, a in coeffs:
-                        out[k] += c * a
-        return tuple(out)
+
+def ad_lists(g: LieAlgebra) -> AdLists:
+    """The bracket table listed by each basis index, in one pass over the table."""
+    ad: AdLists = [[] for _ in range(g.dim)]
+    for i, j, coeffs in g.brackets:
+        ad[i].append((j, 1, coeffs))
+        ad[j].append((i, -1, coeffs))
+    return ad
+
+
+def bracket(ad: AdLists, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
+    """[u, v] = -sum of u_c v_k [X_k, X_c], over the k with v_k != 0 and the c with u_c != 0."""
+    out = [ZERO] * len(ad)
+    for k, x in enumerate(v):
+        if x:
+            for c, sign, coeffs in ad[k]:
+                y = u[c]
+                if y:
+                    f = x * y if sign < 0 else -x * y
+                    for t, a in coeffs:
+                        out[t] += f * a
+    return tuple(out)
+
+
+def ad_images(ad: AdLists, v: Sequence[Fraction]) -> dict[int, Vec]:
+    """Every nonzero [X_c, v], keyed by c in increasing order."""
+    images: dict[int, dict[int, Fraction]] = {}  # sparse, so a zero image costs only its touched entries
+    for k, x in enumerate(v):
+        if x:
+            for c, sign, coeffs in ad[k]:
+                out = images.setdefault(c, {})
+                f = x if sign < 0 else -x
+                for t, a in coeffs:
+                    out[t] = out.get(t, ZERO) + f * a
+    return {c: tuple(_dense(len(ad), w.items())) for c, w in sorted(images.items()) if any(w.values())}
 
 
 def _dense(m: int, coeffs) -> list[Fraction]:
@@ -90,11 +117,7 @@ def _dense(m: int, coeffs) -> list[Fraction]:
     return out
 
 
-def lie_algebra(
-    dim: int,
-    basis_names: Sequence[str],
-    brackets: Mapping[tuple[int, int], Mapping[int, Fraction]],
-) -> LieAlgebra:
+def lie_algebra(dim: int, basis_names: Sequence[str], brackets: Mapping[tuple[int, int], Mapping[int, Fraction]]) -> LieAlgebra:
     """Build a LieAlgebra from a {(i, j): {k: c}} mapping, 0-based, i < j."""
     entries = []
     for (i, j) in sorted(brackets):
@@ -123,9 +146,7 @@ def _diagnose(g: LieAlgebra) -> tuple[list[Diagnostic], tuple[list[Subspace], in
     if m < 0:
         return [Diagnostic("malformed", f"negative dimension {m}")], None
     if len(g.basis_names) != m:
-        out.append(
-            Diagnostic("malformed", f"{len(g.basis_names)} basis names for dimension {m}")
-        )
+        out.append(Diagnostic("malformed", f"{len(g.basis_names)} basis names for dimension {m}"))
     seen = set()
     for i, j, coeffs in g.brackets:
         if not (0 <= i < j < m):
@@ -142,12 +163,8 @@ def _diagnose(g: LieAlgebra) -> tuple[list[Diagnostic], tuple[list[Subspace], in
 
     # Jacobi: for a stored (a, b) and a third index c, [[X_a, X_b], X_c] is
     # one cyclic term of the sorted triple, negated when a < c < b; it is
-    # the sum of [X_k, X_c] over the terms X_k of [X_a, X_b], and ad[k]
-    # lists the stored [X_k, X_c] as (c, sign, coefficients).
-    ad: list[list] = [[] for _ in range(m)]
-    for i, j, coeffs in g.brackets:
-        ad[i].append((j, 1, coeffs))
-        ad[j].append((i, -1, coeffs))
+    # the sum of [X_k, X_c] over the terms X_k of [X_a, X_b].
+    ad = ad_lists(g)
     sums: dict[tuple[int, int, int], dict[int, Fraction]] = {}
     for a, b, w in g.brackets:
         for k, x in w:
@@ -159,23 +176,12 @@ def _diagnose(g: LieAlgebra) -> tuple[list[Diagnostic], tuple[list[Subspace], in
                 for t, y in coeffs:
                     s[t] = s.get(t, ZERO) + factor * y
     for i, j, k in sorted(t for t, s in sums.items() if any(s.values())):
-        out.append(
-            Diagnostic(
-                "jacobi",
-                f"Jacobi identity fails on ({g.basis_names[i]}, {g.basis_names[j]}, {g.basis_names[k]})",
-                (i + 1, j + 1, k + 1),
-            )
-        )
+        names = ", ".join(g.basis_names[t] for t in (i, j, k))
+        out.append(Diagnostic("jacobi", f"Jacobi identity fails on ({names})", (i + 1, j + 1, k + 1)))
     try:
         series = lower_central_series(g)
     except NonNilpotentError as e:
-        out.append(
-            Diagnostic(
-                "non_nilpotent",
-                str(e),
-                tuple(e.stabilized.basis),
-            )
-        )
+        out.append(Diagnostic("non_nilpotent", str(e), tuple(e.stabilized.basis)))
         return out, None
     return out, series
 
@@ -183,28 +189,25 @@ def _diagnose(g: LieAlgebra) -> tuple[list[Diagnostic], tuple[list[Subspace], in
 def lower_central_series(g: LieAlgebra) -> tuple[list[Subspace], int]:
     """Chain g >= [g,g] >= [g,[g,g]] >= ... >= 0 and the number of nonzero terms."""
     m = g.dim
+    ad = ad_lists(g)
     chain = [Subspace.full(m)]
     nxt = derived_subalgebra(g)
     while chain[-1].dim > 0:
         if nxt.dim == chain[-1].dim:
             raise NonNilpotentError(chain[-1])
         chain.append(nxt)
-        nxt = Subspace.from_vectors(m, [g.bracket(unit_vec(m, i), v) for i in range(m) for v in nxt.basis])
+        nxt = Subspace.from_vectors(m, [w for v in nxt.basis for w in ad_images(ad, v).values()])
     return chain, len(chain) - 1
 
 
 def center(g: LieAlgebra) -> Subspace:
-    """Joint kernel of all ad(X_i), whose rows are read off the bracket table.
-
-    The X_k coefficient c of [X_i, X_j] is entry (k, j) of ad(X_i) and, with
-    sign -c, entry (k, i) of ad(X_j); only the nonzero rows are stacked.
-    """
+    """Joint kernel of all ad(X_k), whose nonzero rows are read off the `ad` lists."""
     m = g.dim
     rows: dict[tuple[int, int], list[Fraction]] = {}
-    for i, j, coeffs in g.brackets:
-        for k, c in coeffs:
-            rows.setdefault((i, k), [ZERO] * m)[j] += c
-            rows.setdefault((j, k), [ZERO] * m)[i] -= c
+    for k, entries in enumerate(ad_lists(g)):
+        for c, sign, coeffs in entries:
+            for t, a in coeffs:
+                rows.setdefault((k, t), [ZERO] * m)[c] += sign * a
     return kernel_basis(rows.values(), m)
 
 
@@ -228,10 +231,11 @@ class Flag(Record):
     def __init__(self, algebra: LieAlgebra, rows: tuple[Vec, ...]):
         setfield(self, "algebra", algebra)
         setfield(self, "rows", rows)
+        ad = ad_lists(algebra)
         support = []
         for a in range(algebra.dim):
             for b in range(a + 1, algebra.dim):
-                w = algebra.bracket(rows[a], rows[b])
+                w = bracket(ad, rows[a], rows[b])
                 sparse = tuple((i, c) for i, c in enumerate(w) if c)
                 if sparse:
                     support.append((a, b, sparse))
@@ -264,32 +268,33 @@ def jordan_holder_flag(g: LieAlgebra, chain: Sequence[Subspace] | None = None) -
     """
     if chain is None:
         chain, _ = lower_central_series(g)
-    m = g.dim
-    acc = RrefAccumulator(m)
+    ad = ad_lists(g)
+    acc = RrefAccumulator(g.dim)
     ordered: list[Vec] = []
     for member in reversed(chain):
         for row in member.basis:
             if acc.add(row):
                 ordered.append(row)
-                for i in range(m):
-                    if not acc.contains(g.bracket(unit_vec(m, i), row)):
+                for c, w in ad_images(ad, row).items():
+                    if not acc.contains(w):
                         raise RuntimeError(
                             f"flag prefix of dimension {len(ordered)} is not an ideal "
-                            f"(bracket with {g.basis_names[i]} escapes)"
+                            f"(bracket with {g.basis_names[c]} escapes)"
                         )
-    if len(ordered) != m:
+    if len(ordered) != g.dim:
         raise RuntimeError("flag construction failed to reach full dimension")
     return Flag(g, tuple(ordered))
 
 
 def is_ideal(g: LieAlgebra, sub: Subspace) -> tuple[bool, tuple[str, Vec, Vec] | None]:
-    """Exact ideal test; on failure returns a witness (basis name, member, bracket)."""
-    for i in range(g.dim):
-        ei = unit_vec(g.dim, i)
-        for v in sub.basis:
-            w = g.bracket(ei, v)
-            if not sub.contains(w):
-                return False, (g.basis_names[i], v, w)
+    """Exact ideal test; on failure returns a witness (basis name, member, bracket),
+    the lowest basis index first and then the first member whose bracket escapes."""
+    ad = ad_lists(g)
+    images = [ad_images(ad, v) for v in sub.basis]
+    for c in range(g.dim):
+        for v, image in zip(sub.basis, images):
+            if c in image and not sub.contains(image[c]):
+                return False, (g.basis_names[c], v, image[c])
     return True, None
 
 
@@ -333,12 +338,10 @@ def change_basis(g: LieAlgebra, new_rows: Sequence[Sequence[Fraction]]) -> LieAl
     """Structure constants in the basis whose vectors are the given rows."""
     m = g.dim
     inv_t = invert(transpose(new_rows))  # sends old coordinates to new ones
+    ad = ad_lists(g)
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a in range(m):
         for b in range(a + 1, m):
-            w_old = g.bracket(new_rows[a], new_rows[b])
-            w_new = mat_vec(inv_t, w_old)
-            coeffs = {k: c for k, c in enumerate(w_new) if c}
-            if coeffs:
-                brackets[(a, b)] = coeffs
+            w_new = mat_vec(inv_t, bracket(ad, new_rows[a], new_rows[b]))
+            brackets[(a, b)] = {k: c for k, c in enumerate(w_new) if c}  # lie_algebra drops empty entries
     return lie_algebra(m, g.basis_names, brackets)

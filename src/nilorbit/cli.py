@@ -67,6 +67,14 @@ def _read_valid_algebra(args):
     return g, series
 
 
+def _read_valid_flag(args):
+    """The valid input algebra and its Jordan-Hoelder flag, built on validation's series."""
+    from .algebra import jordan_holder_flag
+
+    g, (chain, _) = _read_valid_algebra(args)
+    return g, jordan_holder_flag(g, chain)
+
+
 def _envelope(args, g, command, report):
     return {
         "algebra_sha256": algebra_hash(g),
@@ -168,10 +176,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_flag(args) -> int:
-    from .algebra import jordan_holder_flag
-
-    g, (chain, _) = _read_valid_algebra(args)
-    flag = jordan_holder_flag(g, chain)
+    g, flag = _read_valid_flag(args)
     report = {
         "rows": [[frac_str(c) for c in row] for row in flag.rows],
         "ideal_property_verified": True,
@@ -180,12 +185,10 @@ def cmd_flag(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .algebra import jordan_holder_flag
     from .strata import classify_point
 
-    g, (chain, _) = _read_valid_algebra(args)
+    g, flag = _read_valid_flag(args)
     xi = _parse_functional(g, args.functional)
-    flag = jordan_holder_flag(g, chain)
     coarse, fine = classify_point(flag, xi)
     report = {
         "coarse": list(coarse),
@@ -198,11 +201,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_strata(args) -> int:
-    from .algebra import jordan_holder_flag
     from .strata import enumerate_strata
 
-    g, (chain, _) = _read_valid_algebra(args)
-    flag = jordan_holder_flag(g, chain)
+    g, flag = _read_valid_flag(args)
     probes = _layer_probes(g)
     for text in args.probe or []:
         probes.append(_parse_functional(g, text))
@@ -224,11 +225,9 @@ def cmd_strata(args) -> int:
 
 
 def cmd_layers(args) -> int:
-    from .algebra import jordan_holder_flag
     from .strata import composition_layers, enumerate_strata
 
-    g, (chain, _) = _read_valid_algebra(args)
-    flag = jordan_holder_flag(g, chain)
+    g, flag = _read_valid_flag(args)
     found = enumerate_strata(
         flag, args.samples, seed=args.seed, extra_points=_layer_probes(g), bound=args.bound
     )
@@ -252,11 +251,9 @@ def cmd_layers(args) -> int:
 
 
 def cmd_index(args) -> int:
-    from .algebra import jordan_holder_flag
     from .strata import generic_stratum
 
-    g, (chain, _) = _read_valid_algebra(args)
-    flag = jordan_holder_flag(g, chain)
+    g, flag = _read_valid_flag(args)
     result = generic_stratum(
         flag, mode=args.mode, samples=args.samples, seed=args.seed, bound=args.bound
     )

@@ -13,6 +13,8 @@ from typing import Sequence
 
 from .algebra import (
     LieAlgebra,
+    ad_images,
+    ad_lists,
     center,
     derived_subalgebra,
     lie_algebra,
@@ -86,9 +88,7 @@ def generate(spec: FamilySpec) -> LieAlgebra:
 
 
 def _span_of_names(g: LieAlgebra, names: Sequence[str]) -> Subspace:
-    return Subspace.from_vectors(
-        g.dim, [unit_vec(g.dim, g.basis_names.index(s)) for s in names]
-    )
+    return Subspace.from_vectors(g.dim, [unit_vec(g.dim, g.basis_names.index(s)) for s in names])
 
 
 class VerifyItem(Record):
@@ -255,7 +255,7 @@ def recognize_heisenberg_times_abelian(g: LieAlgebra) -> Recognition | None:
         return None
     m = g.dim
     z_vec = der.basis[0]
-    if any(any(g.bracket(unit_vec(m, i), z_vec)) for i in range(m)):
+    if ad_images(ad_lists(g), z_vec):
         return None
     pivot = der.pivots[0]
     xi = Functional(g, unit_vec(m, pivot))  # <xi, z> = 1 since z is an RREF row

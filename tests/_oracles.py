@@ -24,7 +24,9 @@ labels by set differences and a component scan, against which the
 package's sort keys are checked; and ``oracle_jacobi_failures`` tries the
 Jacobi identity on every triple of basis vectors with ``oracle_bracket``,
 against which ``validate_algebra``'s reading of the stored table is
-checked.
+checked; and ``oracle_is_ideal`` brackets every basis vector with every
+member of the subspace, against which ``is_ideal``'s verdict and witness
+are checked.
 """
 
 from __future__ import annotations
@@ -97,6 +99,17 @@ def oracle_jacobi_failures(g):
                 if any(map(sum, zip(*terms))):
                     out.append((i + 1, j + 1, k + 1))
     return out
+
+
+def oracle_is_ideal(g, sub):
+    """is_ideal by m dense unit-vector brackets per member: basis index first, then member."""
+    for i in range(g.dim):
+        ei = unit_vec(g.dim, i)
+        for v in sub.basis:
+            w = oracle_bracket(g, ei, v)
+            if not sub.contains(w):
+                return False, (g.basis_names[i], v, w)
+    return True, None
 
 
 def oracle_ad_matrix(g, x):

@@ -4,11 +4,15 @@ from random import Random
 
 import pytest
 
-from _oracles import oracle_ad_matrix, oracle_bracket, oracle_jacobi_failures, oracle_rank
+from _corpus import corpus
+from _oracles import oracle_ad_matrix, oracle_bracket, oracle_is_ideal, oracle_jacobi_failures, oracle_kernel, oracle_rank
 
 from nilorbit.algebra import (
     NonNilpotentError,
     NotAnIdealError,
+    ad_images,
+    ad_lists,
+    bracket,
     center,
     change_basis,
     derived_subalgebra,
@@ -21,7 +25,7 @@ from nilorbit.algebra import (
     validate_algebra,
 )
 from nilorbit.families import abelian, heisenberg, hmn, random_unimodular, threadlike
-from nilorbit.linalg import Subspace, mat_vec, residue, unit_vec, vec
+from nilorbit.linalg import Subspace, invert, mat_vec, residue, unit_vec, vec
 
 F = Fraction
 
@@ -124,7 +128,7 @@ def test_stored_table_checks_match_the_dense_oracles_on_random_tables():
         for a in range(q.dim):
             for b in range(a + 1, q.dim):
                 w = residue(z.basis, z.pivots, oracle_bracket(g, units[comp[a]], units[comp[b]]))
-                assert q.bracket(unit_vec(q.dim, a), unit_vec(q.dim, b)) == tuple(w[c] for c in comp)
+                assert oracle_bracket(q, unit_vec(q.dim, a), unit_vec(q.dim, b)) == tuple(w[c] for c in comp)
         for kind in {d.kind for d in diags} or {"valid"}:
             seen[kind] += 1
     assert min(seen.values()) >= 10, seen
@@ -191,7 +195,12 @@ def test_center_equals_kernel_of_stacked_oracle_ad_matrices():
         assert all(c == 0 for v in z.basis for c in mat_vec(stacked, v))
 
 
-def test_bracket_equals_dense_bilinear_sum():
+def _oracle_ad_images(g, v):
+    images = {c: oracle_bracket(g, unit_vec(g.dim, c), v) for c in range(g.dim)}
+    return {c: w for c, w in images.items() if any(w)}
+
+
+def test_bracket_and_ad_images_equal_dense_bilinear_sum():
     rng = Random(4)
 
     def draw(m):
@@ -199,14 +208,17 @@ def test_bracket_equals_dense_bilinear_sum():
 
     for g in _sparse_and_dense(5):
         m = g.dim
+        ad = ad_lists(g)
         units = [unit_vec(m, i) for i in range(m)]
         for u in units:
             for v in units + [draw(m) for _ in range(3)]:
-                assert g.bracket(u, v) == oracle_bracket(g, u, v)
-                assert g.bracket(v, u) == oracle_bracket(g, v, u)
+                assert bracket(ad, u, v) == oracle_bracket(g, u, v)
+                assert bracket(ad, v, u) == oracle_bracket(g, v, u)
+                assert list(ad_images(ad, v).items()) == list(_oracle_ad_images(g, v).items())
         for _ in range(20):
             u, v = draw(m), draw(m)
-            assert g.bracket(u, v) == oracle_bracket(g, u, v)
+            assert bracket(ad, u, v) == oracle_bracket(g, u, v)
+            assert list(ad_images(ad, v).items()) == list(_oracle_ad_images(g, v).items())
 
 
 def test_derived_subalgebra():
@@ -245,7 +257,7 @@ def test_flag_prefixes_are_ideals():
             prefix = Subspace.from_vectors(g.dim, flag.rows[:j])
             for i in range(g.dim):
                 for row in flag.rows[:j]:
-                    assert prefix.contains(g.bracket(unit_vec(g.dim, i), row))
+                    assert prefix.contains(oracle_bracket(g, unit_vec(g.dim, i), row))
 
 
 # --- quotients and products --------------------------------------------------
@@ -277,6 +289,19 @@ def test_quotient_rejects_non_ideal():
     g = heisenberg(1)
     with pytest.raises(NotAnIdealError):
         quotient(g, span_of(g, "X1"))
+
+
+def test_not_an_ideal_error_names_the_lowest_escaping_basis_vector():
+    cases = [
+        (heisenberg(1), [[0, 1, 0]], "Y1", "(Fraction(0, 1), Fraction(1, 1), Fraction(0, 1))", [-1, 0, 0]),
+        (hmn(2, 2), [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0]], "X1", "(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(1, 1), Fraction(0, 1))", [0, 0, 0, 0, 1]),
+        (hmn(2, 2), [[1, 1, 0, 0, 1]], "Y0", "(Fraction(1, 1), Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(1, 1))", [0, 0, 0, -1, -1]),
+    ]
+    for g, rows, name, member, escaped in cases:
+        with pytest.raises(NotAnIdealError) as info:
+            quotient(g, Subspace.from_vectors(g.dim, [vec(r) for r in rows]))
+        assert str(info.value) == f"not an ideal: [{name}, v] leaves the subspace for v = {member}"
+        assert info.value.basis_name == name and info.value.escaped == vec(escaped)
 
 
 def test_quotient_by_non_coordinate_ideal():
@@ -339,9 +364,65 @@ def test_change_basis_preserves_invariants():
             assert step_g == step_h
 
 
+def test_is_ideal_matches_the_unit_vector_oracle_on_random_tables():
+    rng = Random(21)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        g = _random_table(rng)
+        m = g.dim
+        vectors = [
+            tuple(F(rng.randint(-2, 2)) if rng.random() < 0.4 else F(0) for _ in range(m))
+            for _ in range(rng.randint(0, 3))
+        ]
+        subs = [Subspace.from_vectors(m, vectors), center(g), derived_subalgebra(g)]
+        subs += [Subspace.from_vectors(m, [unit_vec(m, i)]) for i in range(m) if rng.random() < 0.3]
+        for sub in subs:
+            ok, witness = is_ideal(g, sub)
+            assert (ok, witness) == oracle_is_ideal(g, sub)
+            verdicts[ok] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+
+
 def test_is_ideal_witness():
     g = heisenberg(1)
     ok, witness = is_ideal(g, span_of(g, "X1"))
     assert not ok and witness is not None
     name, member, escaped = witness
     assert not span_of(g, "X1").contains(escaped)
+
+
+# --- random nilpotent corpus ---------------------------------------------------
+
+
+def test_random_nilpotent_corpus_against_the_dense_oracles():
+    rng = Random(30)
+    for g in corpus(12, 40):
+        m = g.dim
+        ad = ad_lists(g)
+        assert validate_algebra(g) == []
+        chain, step = lower_central_series(g)
+        assert chain[0] == Subspace.full(m) and chain[-1].dim == 0 and step == len(chain) - 1
+        for before, term in zip(chain, chain[1:]):
+            assert term == _oracle_bracket_span(g, before.basis)
+        flag = jordan_holder_flag(g, chain)
+        for j in range(1, m + 1):  # [g, rows[j-1]] in the prefix of dimension j makes every prefix an ideal
+            prefix = Subspace.from_vectors(m, flag.rows[:j])
+            assert prefix.dim == j and all(prefix.contains(oracle_bracket(g, unit_vec(m, i), flag.rows[j - 1])) for i in range(m))
+        support = []
+        for a in range(m):
+            for b in range(a + 1, m):
+                w = oracle_bracket(g, flag.rows[a], flag.rows[b])
+                if any(w):
+                    support.append((a, b, tuple((i, c) for i, c in enumerate(w) if c)))
+        assert flag.pair_support == tuple(support)
+        stacked = [row for i in range(m) for row in oracle_ad_matrix(g, unit_vec(m, i))]
+        assert center(g) == oracle_kernel(stacked, m)
+        for v in list(flag.rows) + [tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m))]:
+            assert list(ad_images(ad, v).items()) == list(_oracle_ad_images(g, v).items())
+        p = random_unimodular(m, rng)
+        h = change_basis(g, p)
+        for a in range(m):
+            for b in range(a + 1, m):
+                w = oracle_bracket(h, unit_vec(m, a), unit_vec(m, b))
+                assert oracle_bracket(g, p[a], p[b]) == tuple(sum((w[k] * p[k][t] for k in range(m)), F(0)) for t in range(m))
+        assert change_basis(h, invert(p)) == g

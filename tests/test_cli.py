@@ -6,6 +6,7 @@ import json
 import pkgutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 from random import Random
 
@@ -249,6 +250,16 @@ def test_command_computes_the_lower_central_series_once(command, h3_file, capsys
     code, out = run_cli([command, "-i", h3_file], capsys=capsys)
     assert code == 0 and json.loads(out)["command"] == command
     assert len(calls) == 1
+
+
+def test_validate_series_and_flag_on_threadlike_60_are_fast(capsys, monkeypatch):
+    """Brackets with a vector read the stored table at the vector's support, not m dense brackets."""
+    _, doc = run_cli(["family", "threadlike", "60"], capsys=capsys)
+    start = time.perf_counter()
+    for command in ("validate", "series", "flag"):
+        code, _ = run_cli([command], stdin_text=doc, capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 0
+    assert time.perf_counter() - start < 2
 
 
 def test_usage_error_without_subcommand():
