@@ -15,10 +15,11 @@ from typing import Mapping, Sequence
 
 from .errors import MathError
 from .linalg import (
-    RrefAccumulator,
+    Echelon,
     Subspace,
     Vec,
     ZERO,
+    integer_row,
     invert,
     kernel_basis,
     mat_vec,
@@ -96,8 +97,8 @@ def bracket(ad: AdLists, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
     return tuple(out)
 
 
-def ad_images(ad: AdLists, v: Sequence[Fraction]) -> dict[int, Vec]:
-    """Every nonzero [X_c, v], keyed by c in increasing order."""
+def ad_images(ad: AdLists, v: Sequence[Fraction]) -> dict[int, tuple[tuple[int, Fraction], ...]]:
+    """Every nonzero [X_c, v], keyed by c in increasing order, as its nonzero entries ((t, a), ...) in increasing t."""
     images: dict[int, dict[int, Fraction]] = {}  # sparse, so a zero image costs only its touched entries
     for k, x in enumerate(v):
         if x:
@@ -106,7 +107,8 @@ def ad_images(ad: AdLists, v: Sequence[Fraction]) -> dict[int, Vec]:
                 f = x if sign < 0 else -x
                 for t, a in coeffs:
                     out[t] = out.get(t, ZERO) + f * a
-    return {c: tuple(_dense(len(ad), w.items())) for c, w in sorted(images.items()) if any(w.values())}
+    sparse = ((c, tuple(sorted((t, a) for t, a in w.items() if a))) for c, w in sorted(images.items()))
+    return {c: w for c, w in sparse if w}
 
 
 def _dense(m: int, coeffs) -> list[Fraction]:
@@ -196,7 +198,8 @@ def lower_central_series(g: LieAlgebra) -> tuple[list[Subspace], int]:
         if nxt.dim == chain[-1].dim:
             raise NonNilpotentError(chain[-1])
         chain.append(nxt)
-        nxt = Subspace.from_vectors(m, [w for v in nxt.basis for w in ad_images(ad, v).values()])
+        images = dict.fromkeys(w for v in nxt.basis for w in ad_images(ad, v).values())  # each once
+        nxt = Subspace.from_vectors(m, (_dense(m, w) for w in images))
     return chain, len(chain) - 1
 
 
@@ -261,22 +264,25 @@ def jordan_holder_flag(g: LieAlgebra, chain: Sequence[Subspace] | None = None) -
     """Deterministic Jordan-Hoelder flag refining the lower central series.
 
     Walking the series from its deepest nonzero member outward, each layer is
-    filled with the echelon basis vectors of that member in pivot order.  Each
-    accepted row is checked at once: [g, rows[a]] must lie in the span of
-    rows[0..a].  Together these checks say that every prefix is an ideal.
-    `chain` is g's lower central series when the caller has it already.
+    filled with the echelon basis vectors of that member in pivot order, up to
+    its dimension.  Each accepted row is checked at once: [g, rows[a]] must
+    lie in the span of rows[0..a], so every prefix is an ideal.  `chain` is
+    g's lower central series when the caller has it already.
     """
     if chain is None:
         chain, _ = lower_central_series(g)
+    m = g.dim
     ad = ad_lists(g)
-    acc = RrefAccumulator(g.dim)
+    acc = Echelon()
     ordered: list[Vec] = []
     for member in reversed(chain):
         for row in member.basis:
-            if acc.add(row):
+            if len(ordered) == member.dim:
+                break  # the accepted rows span the member
+            if acc.add(integer_row(row)) is not None:
                 ordered.append(row)
                 for c, w in ad_images(ad, row).items():
-                    if not acc.contains(w):
+                    if not acc.contains(integer_row(_dense(m, w))):
                         raise RuntimeError(
                             f"flag prefix of dimension {len(ordered)} is not an ideal "
                             f"(bracket with {g.basis_names[c]} escapes)"
@@ -290,7 +296,7 @@ def is_ideal(g: LieAlgebra, sub: Subspace) -> tuple[bool, tuple[str, Vec, Vec] |
     """Exact ideal test; on failure returns a witness (basis name, member, bracket),
     the lowest basis index first and then the first member whose bracket escapes."""
     ad = ad_lists(g)
-    images = [ad_images(ad, v) for v in sub.basis]
+    images = [{c: tuple(_dense(g.dim, w)) for c, w in ad_images(ad, v).items()} for v in sub.basis]
     for c in range(g.dim):
         for v, image in zip(sub.basis, images):
             if c in image and not sub.contains(image[c]):

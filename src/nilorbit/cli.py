@@ -20,8 +20,10 @@ the seed, so that the run can be reproduced; it exits 1.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import __version__
 from .errors import MathError, UsageError
@@ -31,7 +33,6 @@ from .formats import (
     algebra_from_json,
     algebra_hash,
     algebra_to_json,
-    dumps_canonical,
     fine_label_to_list,
     frac_parse,
     frac_str,
@@ -89,7 +90,11 @@ def _envelope(args, g, command, report):
 
 def _emit(args, doc) -> int:
     if args.format == "json":
-        sys.stdout.write(dumps_canonical(doc))
+        # formats.dumps_canonical's bytes, written a slice of chunks at a time: no copy of the whole report
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+        while text := "".join(islice(chunks, 4096)):
+            sys.stdout.write(text)
+        sys.stdout.write("\n")
     else:
         for line in _flatten(doc):
             print(line)

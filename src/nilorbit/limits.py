@@ -263,9 +263,7 @@ def orbit_limit_set(
         slices.setdefault(key, set()).add(placed)
 
     min_per_slice = min(len(v) for v in slices.values())
-    m_dim = Subspace.from_vectors(
-        max(z.dim, 1), [tuple(dot(row, zrow) for zrow in z.basis) for row in v0.basis]
-    ).dim if z.dim else 0
+    m_dim = Subspace.from_vectors(z.dim, [tuple(dot(row, zrow) for zrow in z.basis) for row in v0.basis]).dim
 
     decomposition = tuple(
         OrbitClass(cl["rep"], cl["orbit_dim"], cl["size"]) for cl in classes

@@ -3,11 +3,11 @@
 All vectors are tuples of ``fractions.Fraction`` and all decisions (rank,
 membership, kernels) are exact.  Matrices are lists of row vectors.
 
-``RrefAccumulator`` builds the canonical reduced row echelon form, from
-which come every ``Subspace`` basis, membership test (``residue``), kernel
-and inverse.  ``echelon_profile`` is the one fraction-free rank-profile
-loop, over integer rows (``rank_profile``: ranks and jump labels at points)
-and over ``Poly`` rows (symbolic labels and direction families).
+``Echelon`` is the one elimination loop.  It is fraction-free and runs over
+integer rows (``rank_profile``: ranks and jump labels at points; ``rref``:
+every canonical ``Subspace`` basis, kernel and inverse, read off its rows)
+and over ``Poly`` rows (symbolic labels and direction families), through
+``echelon_profile``.  ``residue`` tests membership in a canonical basis.
 """
 
 from __future__ import annotations
@@ -64,45 +64,119 @@ def residue(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int], v: Sequen
     return w
 
 
-class RrefAccumulator:
-    """Mutable reduced-row-echelon accumulator for incremental span building."""
+class Echelon:
+    """Rows in echelon form over an integral domain, one per pivot column, grown a row at a time.
 
-    def __init__(self, ncols: int, rows: Iterable[Sequence[Fraction]] = ()):
-        self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-        for r in rows:
-            self.add(r)
+    A row is reduced by the accepted rows until its leftmost nonzero column c
+    is not a pivot column, and then becomes column c's row.  Entries are only
+    multiplied, subtracted and tested for zero; each step (``_eliminate``)
+    hands its row to ``normalise``, which divides out a common factor (by
+    default the gcd of an integer row).
+    """
 
-    def reduce(self, v: Sequence[Fraction]) -> list[Fraction]:
-        """Residue of v modulo the current row space."""
-        return residue(self.rows, self.pivots, v)
+    __slots__ = ("normalise", "rows")
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return is_zero_vec(self.reduce(v))
+    def __init__(self, normalise: Callable[[list], list] | None = None):
+        self.normalise = normalise or _primitive
+        self.rows: dict[int, tuple[list, list[int]]] = {}  # pivot column -> (row, its support), as accepted
 
-    def add(self, v: Sequence[Fraction]) -> bool:
-        """Insert v; returns True if it enlarged the span."""
-        w = self.reduce(v)
-        p = next((k for k, a in enumerate(w) if a), None)
-        if p is None:
-            return False
-        inv = ONE / w[p]
-        w = [a * inv if a else ZERO for a in w]
-        # clear the new pivot column in the existing rows
-        for row in self.rows:
-            c = row[p]
-            if c:
-                for k in range(p, self.ncols):
-                    if w[k]:
-                        row[k] -= c * w[k]
-        at = next((idx for idx, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(at, w)
-        self.pivots.insert(at, p)
-        return True
+    def _reduce(self, raw: Iterable) -> tuple[int | None, list]:
+        row = list(raw)
+        c = next((k for k, a in enumerate(row) if a), None)
+        while c in self.rows:
+            row = _eliminate(row, *self.rows[c], c, self.normalise)
+            c = next((k for k in range(c + 1, len(row)) if row[k]), None)
+        return c, row
 
-    def snapshot(self) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-        return tuple(tuple(r) for r in self.rows), tuple(self.pivots)
+    def add(self, raw: Iterable) -> int | None:
+        """Insert a row; the pivot column it takes, or None if it lies in the span."""
+        c, row = self._reduce(raw)
+        if c is not None:
+            self.rows[c] = (row, [k for k in range(c, len(row)) if row[k]])
+        return c
+
+    def contains(self, raw: Iterable) -> bool:
+        return self._reduce(raw)[0] is None
+
+
+RrefAccumulator = Echelon  # the name under which bench/tracer.py spans this class's methods
+
+
+def _eliminate(row: list, prow: list, support: list[int], c: int, normalise: Callable[[list], list]) -> list:
+    """lead * row - row[c] * prow, zero at c, where lead = prow[c] and prow is zero off `support`."""
+    lead, b = prow[c], row[c]
+    if lead != 1:  # a Poly is never equal to 1, so Poly rows are always multiplied
+        row = [lead * a if a else a for a in row]
+    for k in support:
+        row[k] -= b * prow[k]
+    return normalise(row)
+
+
+def echelon_profile(
+    rows: Iterable[Sequence], ncols: int, normalise: Callable[[list], list]
+) -> tuple[tuple[int | None, ...], list[list]]:
+    """Pivot row of each column, None where there is none, and the pivot rows as reduced.
+
+    The rows go into one ``Echelon`` in order.  A reduced row differs from
+    the original by earlier rows only, so for every leading block
+    rank A[:k, :j] = #{c < j : pivot row of c < k}: the result is the rank
+    profile matrix of A (Dumas, Pernet & Sultan, JSC 2017), and the accepted
+    rows, in row order, are a basis of the row space.
+    """
+    ech = Echelon(normalise)
+    pivot_row: list[int | None] = [None] * ncols
+    for r, row in enumerate(rows):
+        c = ech.add(row)
+        if c is not None:
+            pivot_row[c] = r
+    return tuple(pivot_row), [row for row, _ in ech.rows.values()]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """An integer row divided by the gcd of its entries."""
+    content = gcd(*row)
+    return [a // content for a in row] if content > 1 else row
+
+
+def integer_row(v: Sequence[Fraction]) -> list[int]:
+    """A rational vector times the lcm of its denominators."""
+    nonzero = [(k, a) for k, a in enumerate(v) if a is not ZERO and a]  # the shared ZERO skips Fraction.__bool__
+    den = lcm(*[a.denominator for _, a in nonzero])
+    row = [0] * len(v)
+    for k, a in nonzero:
+        row[k] = a.numerator * (den // a.denominator)
+    return row
+
+
+def rank_profile(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[int | None, ...]:
+    """Pivot row of each column of a rational matrix, its rows scaled to integers."""
+    return echelon_profile(map(integer_row, rows), ncols, _primitive)[0]
+
+
+def rank(rows: Iterable[Sequence[Fraction]], ncols: int) -> int:
+    return sum(1 for r in rank_profile(rows, ncols) if r is not None)
+
+
+def rref(vectors: Iterable[Sequence[Fraction]]) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
+    """Canonical reduced row echelon rows of the span of rational vectors, and their pivot columns.
+
+    The rows of one ``Echelon`` of the vectors scaled to integers, in pivot
+    order, clear each pivot column above them, last first; then each entry
+    is divided by its row's pivot entry.
+    """
+    ech = Echelon()
+    for v in vectors:
+        ech.add(integer_row(v))
+    pivots = sorted(ech.rows)
+    rows = [ech.rows[p][0] for p in pivots]
+    for i in range(len(rows) - 1, 0, -1):
+        p, prow = pivots[i], rows[i]
+        support = [k for k in range(p, len(prow)) if prow[k]]
+        for j in range(i):
+            if rows[j][p]:
+                rows[j] = _eliminate(rows[j], prow, support, p, _primitive)
+    basis = tuple(tuple(Fraction(a, row[p]) if a else ZERO for a in row) for p, row in zip(pivots, rows))
+    return basis, tuple(pivots)
 
 
 def kernel_basis(rows: Iterable[Sequence[Fraction]], ncols: int) -> "Subspace":
@@ -112,73 +186,17 @@ def kernel_basis(rows: Iterable[Sequence[Fraction]], ncols: int) -> "Subspace":
     nonzero entry, so the kernel vector e_f - sum row[f] e_q of a free column f
     is zero before f and at every other free column: canonical RREF already.
     """
-    acc = RrefAccumulator(ncols, (r[::-1] for r in rows))
-    reduced = {ncols - 1 - p: row[::-1] for row, p in zip(acc.rows, acc.pivots)}
+    basis, pivots = rref(r[::-1] for r in rows)
+    reduced = {ncols - 1 - p: row[::-1] for row, p in zip(basis, pivots)}
     free = tuple(f for f in range(ncols) if f not in reduced)
-    basis = []
+    kernel = []
     for f in free:
         v = [ZERO] * ncols
         v[f] = ONE
         for q, row in reduced.items():
             v[q] = -row[f]
-        basis.append(tuple(v))
-    return Subspace(ncols, tuple(basis), free)
-
-
-def echelon_profile(
-    rows: Iterable[Sequence], ncols: int, normalise: Callable[[list], list]
-) -> tuple[tuple[int | None, ...], list[list]]:
-    """Pivot row of each column, None where there is none, and the pivot rows as reduced.
-
-    Rows are taken in order; each is reduced by the pivot rows already
-    accepted until its leftmost nonzero column c is not yet a pivot column,
-    and then becomes column c's pivot row.  A reduced row differs from the
-    original by earlier rows only, so for every leading block
-    rank A[:k, :j] = #{c < j : pivot row of c < k}: the result is the rank
-    profile matrix of A (Dumas, Pernet & Sultan, JSC 2017), and the accepted
-    rows, in row order, are a basis of the row space.  Entries come from an
-    integral domain and are only multiplied, subtracted and tested for zero:
-    a reduction step cross-multiplies by the pivot row and hands the result
-    to ``normalise``, which divides out a common factor of the row.
-    """
-    pivot_row: list[int | None] = [None] * ncols
-    accepted: dict[int, tuple[list, list[int]]] = {}  # column -> (row leading there, its support)
-    for r, raw in enumerate(rows):
-        row = list(raw)
-        c = next((k for k in range(ncols) if row[k]), None)
-        while c is not None and pivot_row[c] is not None:
-            prow, support = accepted[c]
-            lead, b = prow[c], row[c]
-            row = [lead * a if a else a for a in row]
-            for k in support:
-                row[k] -= b * prow[k]
-            row = normalise(row)
-            c = next((k for k in range(c + 1, ncols) if row[k]), None)
-        if c is None:
-            continue
-        pivot_row[c] = r
-        accepted[c] = (row, [k for k in range(c, ncols) if row[k]])
-    return tuple(pivot_row), [row for row, _ in accepted.values()]
-
-
-def _primitive(row: list[int]) -> list[int]:
-    """An integer row divided by the gcd of its entries."""
-    content = gcd(*row)
-    return [a // content for a in row] if content > 1 else row
-
-
-def _integer_row(v: Sequence[Fraction]) -> list[int]:
-    den = lcm(*[a.denominator for a in v])
-    return [a.numerator * (den // a.denominator) for a in v]
-
-
-def rank_profile(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[int | None, ...]:
-    """Pivot row of each column of a rational matrix, its rows scaled to integers."""
-    return echelon_profile(map(_integer_row, rows), ncols, _primitive)[0]
-
-
-def rank(rows: Iterable[Sequence[Fraction]], ncols: int) -> int:
-    return sum(1 for r in rank_profile(rows, ncols) if r is not None)
+        kernel.append(tuple(v))
+    return Subspace(ncols, tuple(kernel), free)
 
 
 def mat_vec(rows: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
@@ -189,7 +207,7 @@ def invert(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Inverse of a square rational matrix; raises ValueError if singular."""
     n = len(rows)
     aug = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(rows)]
-    red, pivots = RrefAccumulator(2 * n, aug).snapshot()
+    red, pivots = rref(aug)
     if list(pivots[:n]) != list(range(n)) or len(red) != n:
         raise ValueError("matrix is singular")
     return [list(r[n:]) for r in red]
@@ -211,7 +229,7 @@ class Subspace(Record):
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
-        return cls(ambient_dim, *RrefAccumulator(ambient_dim, vectors).snapshot())
+        return cls(ambient_dim, *rref(vectors))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -219,7 +237,7 @@ class Subspace(Record):
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(ambient_dim, [unit_vec(ambient_dim, i) for i in range(ambient_dim)])
+        return cls(ambient_dim, tuple(unit_vec(ambient_dim, i) for i in range(ambient_dim)), tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -231,6 +249,3 @@ class Subspace(Record):
     def perp(self) -> "Subspace":
         """Annihilator in the dual coordinates: {w : <w, v> = 0 for all v here}."""
         return kernel_basis(self.basis, self.ambient_dim)
-
-    def __contains__(self, v: Sequence[Fraction]) -> bool:
-        return self.contains(v)

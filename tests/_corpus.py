@@ -15,7 +15,9 @@ from random import Random
 
 from nilorbit.algebra import change_basis, lie_algebra
 from nilorbit.families import random_unimodular
-from nilorbit.linalg import ZERO, RrefAccumulator, residue
+from nilorbit.linalg import ZERO
+
+from _oracles import RrefAccumulator
 
 
 def _commutator(x, y, k):
@@ -60,7 +62,7 @@ def random_nilpotent(rng: Random):
     brackets = {}
     for a in range(d):
         for b in range(a + 1, d):
-            w = residue(solver.rows, solver.pivots, _commutator(basis[a], basis[b], k) + (ZERO,) * d)
+            w = solver.reduce(_commutator(basis[a], basis[b], k) + (ZERO,) * d)
             assert not any(w[: k * k])
             brackets[(a, b)] = {c: -w[k * k + c] for c in range(d)}
     return lie_algebra(d, [f"E{a}" for a in range(1, d + 1)], brackets)

@@ -3,14 +3,15 @@
 Rank comes from fraction-free cross-multiplication elimination, and jump
 tuples from row-rank jumps of the restricted form matrices (the kernel-free
 characterization); these avoid the library's RREF and membership machinery,
-so agreement with the package is a two-route check.  The one exception is
-``oracle_membership_fine_tuple``: it follows the definition of the jump sets
+so agreement with the package is a two-route check.
+``RrefAccumulator`` is the reference RREF: it divides by each pivot over
+``Fraction`` as rows arrive, where the package's ``linalg.rref`` runs its
+fraction-free integer loop and divides only at the end.
+``oracle_membership_fine_tuple`` follows the definition of the jump sets
 literally, one isotropy kernel and one membership scan per leading block,
-and builds both with the library's ``RrefAccumulator``.  It shares that
-arithmetic but not the rank-profile pass the package labels points with,
-nor ``kernel_basis``: its kernels come from ``oracle_kernel``, which takes
-the RREF of the matrix and then the RREF of the kernel vectors read off it,
-and its form comes from ``oracle_bracket``.  Likewise
+both with ``RrefAccumulator``: its kernels come from ``oracle_kernel``,
+which takes the RREF of the matrix and then the RREF of the kernel vectors
+read off it, and its form comes from ``oracle_bracket``.  Likewise
 ``oracle_symbolic_fine_label`` eliminates over the library's ``Poly`` type,
 but one leading block at a time with lowest-degree pivots instead of the
 package's single rank-profile pass.  ``oracle_bracket`` is the dense
@@ -33,8 +34,49 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from nilorbit.linalg import ONE, ZERO, RrefAccumulator, Subspace, unit_vec
+from nilorbit.linalg import ONE, ZERO, Subspace, unit_vec
 from nilorbit.polys import Poly, strip_row
+
+
+class RrefAccumulator:
+    """Reference reduced row echelon form over ``Fraction``, grown a row at a time."""
+
+    def __init__(self, ncols, rows=()):
+        self.ncols = ncols
+        self.rows = []  # canonical RREF rows, in pivot order
+        self.pivots = []
+        for r in rows:
+            self.add(r)
+
+    def reduce(self, v):
+        """Residue of v modulo the current row space."""
+        w = list(v)
+        for row, p in zip(self.rows, self.pivots):
+            c = w[p]
+            if c:
+                w = [a - c * b for a, b in zip(w, row)]
+        return w
+
+    def contains(self, v):
+        return not any(self.reduce(v))
+
+    def add(self, v):
+        """Insert v; returns True if it enlarged the span."""
+        w = self.reduce(v)
+        p = next((k for k, a in enumerate(w) if a), None)
+        if p is None:
+            return False
+        inv = ONE / w[p]
+        w = [a * inv for a in w]
+        # clear the new pivot column in the existing rows
+        self.rows = [[a - row[p] * b for a, b in zip(row, w)] if row[p] else row for row in self.rows]
+        at = sum(1 for q in self.pivots if q < p)
+        self.rows.insert(at, w)
+        self.pivots.insert(at, p)
+        return True
+
+    def subspace(self):
+        return Subspace(self.ncols, tuple(tuple(r) for r in self.rows), tuple(self.pivots))
 
 
 def oracle_rank(rows) -> int:
@@ -65,12 +107,12 @@ def oracle_kernel(rows, ncols):
         for row, p in zip(acc.rows, acc.pivots):
             v[p] = -row[f]
         out.append(v)
-    return Subspace.from_vectors(ncols, out)
+    return RrefAccumulator(ncols, out).subspace()
 
 
 def oracle_subspace_sum(s, t):
     """s + t, the span of both bases."""
-    return Subspace.from_vectors(s.ambient_dim, list(s.basis) + list(t.basis))
+    return RrefAccumulator(s.ambient_dim, list(s.basis) + list(t.basis)).subspace()
 
 
 def oracle_bracket(g, u, v):

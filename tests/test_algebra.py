@@ -5,7 +5,15 @@ from random import Random
 import pytest
 
 from _corpus import corpus
-from _oracles import oracle_ad_matrix, oracle_bracket, oracle_is_ideal, oracle_jacobi_failures, oracle_kernel, oracle_rank
+from _oracles import (
+    RrefAccumulator,
+    oracle_ad_matrix,
+    oracle_bracket,
+    oracle_is_ideal,
+    oracle_jacobi_failures,
+    oracle_kernel,
+    oracle_rank,
+)
 
 from nilorbit.algebra import (
     NonNilpotentError,
@@ -140,6 +148,15 @@ def test_validate_dim_81_heisenberg_is_fast():
     assert time.perf_counter() - start < 5
 
 
+def test_lower_central_series_of_hmn_95_96_is_fast():
+    """Each distinct ad image is spanned once: hmn(95, 96) repeats most of its images."""
+    g = hmn(95, 96)
+    start = time.perf_counter()
+    chain, step = lower_central_series(g)
+    assert time.perf_counter() - start < 3
+    assert [s.dim for s in chain] == [g.dim] + list(range(96, -1, -1)) and step == 97
+
+
 # --- series, center, derived ----------------------------------------------
 
 
@@ -197,7 +214,7 @@ def test_center_equals_kernel_of_stacked_oracle_ad_matrices():
 
 def _oracle_ad_images(g, v):
     images = {c: oracle_bracket(g, unit_vec(g.dim, c), v) for c in range(g.dim)}
-    return {c: w for c, w in images.items() if any(w)}
+    return {c: tuple((t, a) for t, a in enumerate(w) if a) for c, w in images.items() if any(w)}
 
 
 def test_bracket_and_ad_images_equal_dense_bilinear_sum():
@@ -426,3 +443,12 @@ def test_random_nilpotent_corpus_against_the_dense_oracles():
                 w = oracle_bracket(h, unit_vec(m, a), unit_vec(m, b))
                 assert oracle_bracket(g, p[a], p[b]) == tuple(sum((w[k] * p[k][t] for k in range(m)), F(0)) for t in range(m))
         assert change_basis(h, invert(p)) == g
+
+
+def test_flag_rows_are_the_reference_greedy_walk_on_the_corpus():
+    """Every basis row of every series member, deepest member first, that enlarges the span so far."""
+    for g in corpus(5, 40):
+        chain, _ = lower_central_series(g)
+        acc = RrefAccumulator(g.dim)
+        walk = tuple(row for member in reversed(chain) for row in member.basis if acc.add(row))
+        assert jordan_holder_flag(g, chain).rows == walk == jordan_holder_flag(g).rows
