@@ -3,9 +3,9 @@
 An algebra of dimension m stores only the brackets [X_i, X_j] for i < j as
 sparse coefficient lists; [X_j, X_i] is minus the stored value.  All series,
 flags, quotients and products are computed exactly over the rationals.  The
-table is read for brackets only through the per-index lists of `ad_lists`:
-`bracket` takes [u, v] and `ad_images` every [X_c, v] at once, touching only
-the stored entries at nonzero coordinates.
+table is read for brackets only through the per-index lists of `ad_lists`,
+by `ad_images`: every [X_c, v] at once, touching only the stored entries at
+nonzero coordinates of v.  `row_brackets` pairs rows through their images.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .linalg import (
     integer_row,
     invert,
     kernel_basis,
-    mat_vec,
     residue,
     transpose,
 )
@@ -83,20 +82,6 @@ def ad_lists(g: LieAlgebra) -> AdLists:
     return ad
 
 
-def bracket(ad: AdLists, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    """[u, v] = -sum of u_c v_k [X_k, X_c], over the k with v_k != 0 and the c with u_c != 0."""
-    out = [ZERO] * len(ad)
-    for k, x in enumerate(v):
-        if x:
-            for c, sign, coeffs in ad[k]:
-                y = u[c]
-                if y:
-                    f = x * y if sign < 0 else -x * y
-                    for t, a in coeffs:
-                        out[t] += f * a
-    return tuple(out)
-
-
 def ad_images(ad: AdLists, v: Sequence[Fraction]) -> dict[int, tuple[tuple[int, Fraction], ...]]:
     """Every nonzero [X_c, v], keyed by c in increasing order, as its nonzero entries ((t, a), ...) in increasing t."""
     images: dict[int, dict[int, Fraction]] = {}  # sparse, so a zero image costs only its touched entries
@@ -106,9 +91,38 @@ def ad_images(ad: AdLists, v: Sequence[Fraction]) -> dict[int, tuple[tuple[int, 
                 out = images.setdefault(c, {})
                 f = x if sign < 0 else -x
                 for t, a in coeffs:
-                    out[t] = out.get(t, ZERO) + f * a
+                    y = out.get(t)
+                    out[t] = f * a if y is None else y + f * a
     sparse = ((c, tuple(sorted((t, a) for t, a in w.items() if a))) for c, w in sorted(images.items()))
     return {c: w for c, w in sparse if w}
+
+
+def row_brackets(ad: AdLists, rows: Sequence[Sequence[Fraction]]) -> BracketTable:
+    """Every nonzero [rows[a], rows[b]], a < b, as a bracket-table entry (a, b, ((t, x), ...)).
+
+    [rows[a], rows[b]] = sum of rows[a][c] [X_c, rows[b]]: each row's
+    `ad_images` are taken once, and each pair reads them only at the nonzero
+    entries of rows[a].  Sums that cancel to zero are left out.
+    """
+    images = [ad_images(ad, v) for v in rows[1:]]  # images[b - 1] is the image of rows[b]
+    out = []
+    for a, row in enumerate(rows):
+        support = [(c, x) for c, x in enumerate(row) if x]
+        for b, image in enumerate(images[a:], a + 1):
+            terms = [(x, image[c]) for c, x in support if c in image]
+            if len(terms) == 1:  # one image, already sparse and sorted
+                x, w = terms[0]
+                out.append((a, b, w if x == 1 else tuple((t, x * y) for t, y in w)))
+            elif terms:
+                acc: dict[int, Fraction] = {}
+                for x, w in terms:
+                    for t, y in w:
+                        z = acc.get(t)
+                        acc[t] = x * y if z is None else z + x * y
+                w = tuple(sorted((t, y) for t, y in acc.items() if y))
+                if w:
+                    out.append((a, b, w))
+    return tuple(out)
 
 
 def _dense(m: int, coeffs) -> list[Fraction]:
@@ -225,8 +239,8 @@ class Flag(Record):
     Every prefix span must be an ideal; `pair_support` caches, for each pair
     a < b with a nonzero bracket, the stored-basis expansion of
     [rows[a], rows[b]] as a bracket-table entry (a, b, ((i, c), ...)), so that
-    skew forms in flag coordinates are cheap to assemble.  It is computed
-    from the other two fields, and equality, hashing and the repr leave it out.
+    skew forms in flag coordinates are cheap to assemble.  `row_brackets`
+    computes it from the rows; equality, hashing and the repr leave it out.
     """
 
     __slots__ = ("algebra", "rows", "pair_support")
@@ -234,15 +248,7 @@ class Flag(Record):
     def __init__(self, algebra: LieAlgebra, rows: tuple[Vec, ...]):
         setfield(self, "algebra", algebra)
         setfield(self, "rows", rows)
-        ad = ad_lists(algebra)
-        support = []
-        for a in range(algebra.dim):
-            for b in range(a + 1, algebra.dim):
-                w = bracket(ad, rows[a], rows[b])
-                sparse = tuple((i, c) for i, c in enumerate(w) if c)
-                if sparse:
-                    support.append((a, b, sparse))
-        setfield(self, "pair_support", tuple(support))
+        setfield(self, "pair_support", row_brackets(ad_lists(algebra), rows))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -342,12 +348,9 @@ def direct_product(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
 
 def change_basis(g: LieAlgebra, new_rows: Sequence[Sequence[Fraction]]) -> LieAlgebra:
     """Structure constants in the basis whose vectors are the given rows."""
-    m = g.dim
     inv_t = invert(transpose(new_rows))  # sends old coordinates to new ones
-    ad = ad_lists(g)
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            w_new = mat_vec(inv_t, bracket(ad, new_rows[a], new_rows[b]))
-            brackets[(a, b)] = {k: c for k, c in enumerate(w_new) if c}  # lie_algebra drops empty entries
-    return lie_algebra(m, g.basis_names, brackets)
+    brackets = {
+        (a, b): {k: sum((r[t] * x for t, x in w), ZERO) for k, r in enumerate(inv_t)}  # lie_algebra drops the zeros
+        for a, b, w in row_brackets(ad_lists(g), new_rows)
+    }
+    return lie_algebra(g.dim, g.basis_names, brackets)

@@ -199,10 +199,6 @@ def kernel_basis(rows: Iterable[Sequence[Fraction]], ncols: int) -> "Subspace":
     return Subspace(ncols, tuple(kernel), free)
 
 
-def mat_vec(rows: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
-    return tuple(dot(r, v) for r in rows)
-
-
 def invert(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Inverse of a square rational matrix; raises ValueError if singular."""
     n = len(rows)

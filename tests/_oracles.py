@@ -14,8 +14,10 @@ which takes the RREF of the matrix and then the RREF of the kernel vectors
 read off it, and its form comes from ``oracle_bracket``.  Likewise
 ``oracle_symbolic_fine_label`` eliminates over the library's ``Poly`` type,
 but one leading block at a time with lowest-degree pivots instead of the
-package's single rank-profile pass.  ``oracle_bracket`` is the dense
-bilinear sum over every table entry, with no zero skipping.
+package's single rank-profile pass, and its form comes from
+``oracle_bracket``, not from the flag's ``pair_support``.
+``oracle_bracket`` is the dense bilinear sum over every table entry, with no
+zero skipping.
 
 Definitional routes the package no longer carries live here too:
 ``oracle_is_character`` pairs xi with every basis bracket, against which
@@ -160,6 +162,11 @@ def oracle_ad_matrix(g, x):
     return [list(row) for row in zip(*cols)]
 
 
+def mat_vec(rows, v):
+    """The matrix-vector product, one dot product per row."""
+    return tuple(sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in rows)
+
+
 def oracle_det(rows) -> Fraction:
     """Determinant by expansion along the first column (exponential, tiny inputs)."""
     n = len(rows)
@@ -246,18 +253,22 @@ def oracle_jump_set(g, flag_rows, xi_coords):
 def oracle_symbolic_fine_label(flag):
     """Generic fine label, one fraction-free elimination per leading block.
 
-    The dual coordinates are indeterminates.  In the k x k leading block of
-    the form, each row is reduced by cross-multiplication against every
-    accepted row, whose pivot is its lowest-degree nonzero entry, and the
-    rows that stay nonzero make up J^k.
+    The dual coordinates are indeterminates, and the form's entries come
+    from ``oracle_bracket`` of the flag rows, not from the flag's
+    ``pair_support``.  In the k x k leading block of the form, each row is
+    reduced by cross-multiplication against every accepted row, whose pivot
+    is its lowest-degree nonzero entry, and the rows that stay nonzero make
+    up J^k.
     """
     m = flag.dim
     zero = Poly.zero(m)
     form = [[zero] * m for _ in range(m)]
-    for a, b, sparse in flag.pair_support:
-        entry = Poly.make(m, {tuple(1 if v == i else 0 for v in range(m)): c for i, c in sparse})
-        form[a][b] = entry
-        form[b][a] = -entry
+    for a in range(m):
+        for b in range(a + 1, m):
+            w = oracle_bracket(flag.algebra, flag.rows[a], flag.rows[b])
+            entry = Poly.make(m, {tuple(1 if v == i else 0 for v in range(m)): c for i, c in enumerate(w) if c})
+            form[a][b] = entry
+            form[b][a] = -entry
     label = []
     for k in range(1, m + 1):
         accepted = []  # (row, pivot column)

@@ -7,6 +7,7 @@ import pytest
 from _corpus import corpus
 from _oracles import (
     RrefAccumulator,
+    mat_vec,
     oracle_ad_matrix,
     oracle_bracket,
     oracle_is_ideal,
@@ -20,7 +21,6 @@ from nilorbit.algebra import (
     NotAnIdealError,
     ad_images,
     ad_lists,
-    bracket,
     center,
     change_basis,
     derived_subalgebra,
@@ -30,10 +30,11 @@ from nilorbit.algebra import (
     lie_algebra,
     lower_central_series,
     quotient,
+    row_brackets,
     validate_algebra,
 )
 from nilorbit.families import abelian, heisenberg, hmn, random_unimodular, threadlike
-from nilorbit.linalg import Subspace, invert, mat_vec, residue, unit_vec, vec
+from nilorbit.linalg import Subspace, invert, residue, unit_vec, vec
 
 F = Fraction
 
@@ -155,6 +156,9 @@ def test_lower_central_series_of_hmn_95_96_is_fast():
     chain, step = lower_central_series(g)
     assert time.perf_counter() - start < 3
     assert [s.dim for s in chain] == [g.dim] + list(range(96, -1, -1)) and step == 97
+    start = time.perf_counter()
+    jordan_holder_flag(g, chain)
+    assert time.perf_counter() - start < 1
 
 
 # --- series, center, derived ----------------------------------------------
@@ -217,6 +221,17 @@ def _oracle_ad_images(g, v):
     return {c: tuple((t, a) for t, a in enumerate(w) if a) for c, w in images.items() if any(w)}
 
 
+def _oracle_row_brackets(g, rows):
+    """Every nonzero [rows[a], rows[b]], a < b, by the dense bilinear sum, as bracket-table entries."""
+    table = []
+    for a in range(len(rows)):
+        for b in range(a + 1, len(rows)):
+            w = oracle_bracket(g, rows[a], rows[b])
+            if any(w):
+                table.append((a, b, tuple((t, x) for t, x in enumerate(w) if x)))
+    return tuple(table)
+
+
 def test_bracket_and_ad_images_equal_dense_bilinear_sum():
     rng = Random(4)
 
@@ -228,13 +243,19 @@ def test_bracket_and_ad_images_equal_dense_bilinear_sum():
         ad = ad_lists(g)
         units = [unit_vec(m, i) for i in range(m)]
         for u in units:
-            for v in units + [draw(m) for _ in range(3)]:
-                assert bracket(ad, u, v) == oracle_bracket(g, u, v)
-                assert bracket(ad, v, u) == oracle_bracket(g, v, u)
+            rows = units + [draw(m) for _ in range(3)]
+            for v in rows:
                 assert list(ad_images(ad, v).items()) == list(_oracle_ad_images(g, v).items())
+            rows = [u] + rows + [u]  # [u, v] and [v, u] for every v, u among them
+            assert row_brackets(ad, rows) == _oracle_row_brackets(g, rows)
         for _ in range(20):
             u, v = draw(m), draw(m)
-            assert bracket(ad, u, v) == oracle_bracket(g, u, v)
+            # [u, u] is left out after its terms cancel, and every bracket with the zero row is empty
+            rows = [u, v, u, [F(0)] * m, [x + y for x, y in zip(u, v)]]
+            table = row_brackets(ad, rows)
+            assert table == _oracle_row_brackets(g, rows)
+            pairs = [(a, b) for a, b, _ in table]
+            assert pairs == sorted(pairs) and not {(0, 2), (0, 3), (1, 3), (2, 3), (3, 4)} & set(pairs)
             assert list(ad_images(ad, v).items()) == list(_oracle_ad_images(g, v).items())
 
 
@@ -425,18 +446,13 @@ def test_random_nilpotent_corpus_against_the_dense_oracles():
         for j in range(1, m + 1):  # [g, rows[j-1]] in the prefix of dimension j makes every prefix an ideal
             prefix = Subspace.from_vectors(m, flag.rows[:j])
             assert prefix.dim == j and all(prefix.contains(oracle_bracket(g, unit_vec(m, i), flag.rows[j - 1])) for i in range(m))
-        support = []
-        for a in range(m):
-            for b in range(a + 1, m):
-                w = oracle_bracket(g, flag.rows[a], flag.rows[b])
-                if any(w):
-                    support.append((a, b, tuple((i, c) for i, c in enumerate(w) if c)))
-        assert flag.pair_support == tuple(support)
+        assert flag.pair_support == _oracle_row_brackets(g, flag.rows)
         stacked = [row for i in range(m) for row in oracle_ad_matrix(g, unit_vec(m, i))]
         assert center(g) == oracle_kernel(stacked, m)
         for v in list(flag.rows) + [tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m))]:
             assert list(ad_images(ad, v).items()) == list(_oracle_ad_images(g, v).items())
         p = random_unimodular(m, rng)
+        assert row_brackets(ad, p) == _oracle_row_brackets(g, p)
         h = change_basis(g, p)
         for a in range(m):
             for b in range(a + 1, m):

@@ -4,9 +4,10 @@ from random import Random
 import pytest
 
 from conftest import flag_of
-from _oracles import oracle_ad_matrix, oracle_fine_tuple, oracle_is_character, oracle_rank
+from _corpus import corpus
+from _oracles import mat_vec, oracle_ad_matrix, oracle_fine_tuple, oracle_is_character, oracle_rank
 
-from nilorbit.algebra import change_basis, direct_product, lie_algebra
+from nilorbit.algebra import change_basis, direct_product, jordan_holder_flag, lie_algebra
 from nilorbit.coadjoint import (
     Functional,
     bform_matrix,
@@ -23,7 +24,7 @@ from nilorbit.coadjoint import (
     zero_functional,
 )
 from nilorbit.families import abelian, heisenberg, hmn, random_unimodular, threadlike
-from nilorbit.linalg import ZERO, Subspace, invert, mat_vec, rank_profile, unit_vec
+from nilorbit.linalg import ZERO, Subspace, invert, rank_profile, unit_vec
 
 F = Fraction
 
@@ -169,6 +170,14 @@ def test_fine_tuple_matches_rank_oracle():
     for g in (hmn(2, 2), hmn(3, 2), threadlike(4), dense(direct_product(heisenberg(4), abelian(2)), 3)):
         flag = flag_of(g)
         for xi in sample_points(flag, rng, 16):
+            assert fine_jump_tuple(flag, xi) == oracle_fine_tuple(g, flag.rows, xi.coords)
+
+
+def test_fine_tuple_matches_rank_oracle_on_the_corpus():
+    rng = Random(21)
+    for g in corpus(21, 40):
+        flag = jordan_holder_flag(g)
+        for xi in sample_points(flag, rng, 10):
             assert fine_jump_tuple(flag, xi) == oracle_fine_tuple(g, flag.rows, xi.coords)
 
 

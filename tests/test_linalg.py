@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 from _corpus import corpus
-from _oracles import RrefAccumulator, oracle_kernel, oracle_rank, oracle_subspace_sum
+from _oracles import RrefAccumulator, mat_vec, oracle_kernel, oracle_rank, oracle_subspace_sum
 
 from nilorbit.algebra import jordan_holder_flag
 from nilorbit.coadjoint import bform_matrix, random_functional
@@ -14,7 +14,6 @@ from nilorbit.linalg import (
     integer_row,
     invert,
     kernel_basis,
-    mat_vec,
     rank,
     rank_profile,
     unit_vec,
