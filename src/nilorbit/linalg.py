@@ -7,7 +7,9 @@ membership, kernels) are exact.  Matrices are lists of row vectors.
 integer rows (``rank_profile``: ranks and jump labels at points; ``rref``:
 every canonical ``Subspace`` basis, kernel and inverse, read off its rows)
 and over ``Poly`` rows (symbolic labels and direction families), through
-``echelon_profile``.  ``residue`` tests membership in a canonical basis.
+``echelon_profile``.  A row is normalised as it enters and after each
+reduction step, so a ``Poly`` row is eliminated with integer coefficients
+from the start.  ``residue`` tests membership in a canonical basis.
 """
 
 from __future__ import annotations
@@ -69,9 +71,11 @@ class Echelon:
 
     A row is reduced by the accepted rows until its leftmost nonzero column c
     is not a pivot column, and then becomes column c's row.  Entries are only
-    multiplied, subtracted and tested for zero; each step (``_eliminate``)
-    hands its row to ``normalise``, which divides out a common factor (by
-    default the gcd of an integer row).
+    multiplied, subtracted and tested for zero.  A row goes through
+    ``normalise``, which divides out a common factor (by default the gcd of
+    an integer row; ``polys.strip_row`` for ``Poly`` rows), as it enters and
+    after each step (``_eliminate``), so no accepted row keeps a factor that
+    later products would carry.
     """
 
     __slots__ = ("normalise", "rows")
@@ -81,7 +85,7 @@ class Echelon:
         self.rows: dict[int, tuple[list, list[int]]] = {}  # pivot column -> (row, its support), as accepted
 
     def _reduce(self, raw: Iterable) -> tuple[int | None, list]:
-        row = list(raw)
+        row = self.normalise(list(raw))
         c = next((k for k, a in enumerate(row) if a), None)
         while c in self.rows:
             row = _eliminate(row, *self.rows[c], c, self.normalise)

@@ -1,33 +1,38 @@
-"""Sparse polynomials over the rationals and fraction-free elimination.
+"""Sparse polynomials with rational coefficients, and fraction-free elimination.
 
-Two consumers: the symbolic generic-stratum mode works with multivariate
-polynomials in the dual coordinates, and the limit machinery works with
-univariate polynomials in the family parameter.  Their rows are eliminated
-by ``linalg.echelon_profile``, which never divides by polynomials;
-``strip_row`` keeps rows small by removing the rational content and any
-monomial factor common to a whole row.
+A coefficient is an ``int`` or a ``Fraction``; the arithmetic mixes them
+freely.  Two consumers: the symbolic generic-stratum mode works with
+multivariate polynomials in the dual coordinates, and the limit machinery
+works with univariate polynomials in the family parameter.  Their rows are
+eliminated by ``linalg.echelon_profile``, which never divides by polynomials;
+its row normaliser ``strip_row`` returns primitive integer rows (``int``
+coefficients with gcd 1, no monomial factor common to the whole row), so the
+elimination runs in ``int`` arithmetic.  Divisions (``udivmod``, ``ugcd``)
+go through ``Fraction``, so no coefficient is ever a float.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add, sub
 from typing import Sequence
 
 from .records import Record, setfield
 
 Mono = tuple[int, ...]
+Coeff = int | Fraction
 
 
 class Poly(Record):
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: tuple[tuple[Mono, Fraction], ...]):
+    def __init__(self, nvars: int, terms: tuple[tuple[Mono, Coeff], ...]):
         setfield(self, "nvars", nvars)
         setfield(self, "terms", terms)  # sorted by monomial, nonzero coefficients
 
     @classmethod
-    def make(cls, nvars: int, data: dict[Mono, Fraction]) -> "Poly":
+    def make(cls, nvars: int, data: dict[Mono, Coeff]) -> "Poly":
         items = tuple(sorted((m, c) for m, c in data.items() if c != 0))
         return cls(nvars, items)
 
@@ -63,24 +68,24 @@ class Poly(Record):
     def __add__(self, other: "Poly") -> "Poly":
         data = dict(self.terms)
         for m, c in other.terms:
-            data[m] = data.get(m, Fraction(0)) + c
+            data[m] = data.get(m, 0) + c
         return Poly.make(self.nvars, data)
 
     def __sub__(self, other: "Poly") -> "Poly":
         data = dict(self.terms)
         for m, c in other.terms:
-            data[m] = data.get(m, Fraction(0)) - c
+            data[m] = data.get(m, 0) - c
         return Poly.make(self.nvars, data)
 
     def __neg__(self) -> "Poly":
         return Poly(self.nvars, tuple((m, -c) for m, c in self.terms))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        data: dict[Mono, Fraction] = {}
+        data: dict[Mono, Coeff] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                m = tuple(a + b for a, b in zip(m1, m2))
-                data[m] = data.get(m, Fraction(0)) + c1 * c2
+                m = tuple(map(add, m1, m2))
+                data[m] = data.get(m, 0) + c1 * c2
         return Poly.make(self.nvars, data)
 
     def __rmul__(self, c) -> "Poly":
@@ -105,33 +110,32 @@ class Poly(Record):
 
 
 def strip_row(row: list[Poly]) -> list[Poly]:
-    """Divide a row by its rational content and common monomial factor."""
-    coeffs: list[Fraction] = []
-    mono_min: list[int] | None = None
-    for p in row:
-        for m, c in p.terms:
-            coeffs.append(c)
-            if mono_min is None:
-                mono_min = list(m)
-            else:
-                mono_min = [min(a, b) for a, b in zip(mono_min, m)]
-    if not coeffs:
+    """A row divided by its rational content and by the monomial common to all its terms.
+
+    The result is a primitive integer row: every coefficient an ``int``, the
+    gcd of all of them 1, and no variable dividing every entry.  Shifting all
+    monomials by one exponent vector keeps their order, so no entry is resorted.
+    """
+    terms = [t for p in row for t in p.terms]
+    if not terms:
         return row
     num = 0
     den = 1
-    for c in coeffs:
+    for _, c in terms:
         num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    content = Fraction(num, den)
-    assert mono_min is not None
-    shift = tuple(mono_min)
-    out = []
-    for p in row:
-        data = {}
-        for m, c in p.terms:
-            data[tuple(a - b for a, b in zip(m, shift))] = c / content
-        out.append(Poly.make(p.nvars, data))
-    return out
+        den = lcm(den, c.denominator)
+    shift = tuple(map(min, zip(*[m for m, _ in terms])))
+    moved = any(shift)
+    return [
+        Poly(
+            p.nvars,
+            tuple(
+                (tuple(map(sub, m, shift)) if moved else m, c.numerator * (den // c.denominator) // num)
+                for m, c in p.terms
+            ),
+        )
+        for p in row
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +146,7 @@ def upoly(coeffs: Sequence) -> Poly:
     """Univariate polynomial from an ascending coefficient list."""
     return Poly.make(1, {(k,): Fraction(c) for k, c in enumerate(coeffs)})
 
-def ucoeffs(p: Poly) -> list[Fraction]:
+def ucoeffs(p: Poly) -> list[Coeff]:
     if p.nvars != 1:
         raise ValueError("not univariate")
     deg = p.degree()
@@ -164,7 +168,7 @@ def udivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
             ra.pop()
             continue
         shift = len(ra) - len(rb)
-        f = ra[-1] / rb[-1]
+        f = Fraction(ra[-1]) / rb[-1]
         q[shift] += f
         for k, c in enumerate(rb):
             ra[shift + k] -= f * c
@@ -187,7 +191,7 @@ def ugcd(a: Poly, b: Poly) -> Poly:
     if a.is_zero:
         return a
     lead = ucoeffs(a)[-1]
-    return a.scale(1 / lead)
+    return a.scale(Fraction(1) / lead)
 
 
 def udet(matrix: Sequence[Sequence[Poly]]) -> Poly:

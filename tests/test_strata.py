@@ -188,6 +188,27 @@ def test_symbolic_and_sampled_agree_after_dense_basis_change():
             assert sym.ind == straight.ind  # the index is basis-independent
 
 
+def test_symbolic_label_of_dense_basis_changes_is_fast():
+    """The draws on which the symbolic elimination swells most: four dense
+    heisenberg(2) x abelian(2) draws and criterion 8's draw 0 of heisenberg(3).
+    With primitive integer Poly rows they take about 1 s together (4 s with
+    Fraction coefficients)."""
+    import time
+
+    from nilorbit.algebra import change_basis
+    from nilorbit.families import random_unimodular
+
+    base = direct_product(heisenberg(2), abelian(2))
+    rng = Random(7)
+    cases = [(jordan_holder_flag(change_basis(base, random_unimodular(7, rng))), 3) for _ in range(4)]
+    cases.append((jordan_holder_flag(change_basis(heisenberg(3), random_unimodular(7, Random(300)))), 1))
+    start = time.perf_counter()
+    labels = [_symbolic_fine_label(flag) for flag, _ in cases]
+    elapsed = time.perf_counter() - start
+    assert [len(fine[-1]) for fine in labels] == [flag.dim - ind for flag, ind in cases]
+    assert elapsed < 2.5, f"symbolic labels of the dense draws took {elapsed:.2f} s"
+
+
 def test_symbolic_label_matches_leading_block_oracle():
     from random import Random
 
