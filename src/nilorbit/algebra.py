@@ -10,8 +10,8 @@ nonzero coordinates of v.  `row_brackets` pairs rows through their images.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .errors import MathError
 from .linalg import (
@@ -22,7 +22,6 @@ from .linalg import (
     integer_row,
     invert,
     kernel_basis,
-    residue,
     transpose,
 )
 from .records import Record, setfield
@@ -212,7 +211,7 @@ def lower_central_series(g: LieAlgebra) -> tuple[list[Subspace], int]:
         if nxt.dim == chain[-1].dim:
             raise NonNilpotentError(chain[-1])
         chain.append(nxt)
-        images = dict.fromkeys(w for v in nxt.basis for w in ad_images(ad, v).values())  # each once
+        images = dict.fromkeys(w for v in nxt.rows for w in ad_images(ad, v).values())  # each once
         nxt = Subspace.from_vectors(m, (_dense(m, w) for w in images))
     return chain, len(chain) - 1
 
@@ -282,11 +281,11 @@ def jordan_holder_flag(g: LieAlgebra, chain: Sequence[Subspace] | None = None) -
     acc = Echelon()
     ordered: list[Vec] = []
     for member in reversed(chain):
-        for row in member.basis:
+        for row, p in zip(member.rows, member.pivots):
             if len(ordered) == member.dim:
                 break  # the accepted rows span the member
-            if acc.add(integer_row(row)) is not None:
-                ordered.append(row)
+            if acc.add(row) is not None:
+                ordered.append(tuple(Fraction(a, row[p]) if a else ZERO for a in row))  # its RREF row
                 for c, w in ad_images(ad, row).items():
                     if not acc.contains(integer_row(_dense(m, w))):
                         raise RuntimeError(
@@ -302,11 +301,12 @@ def is_ideal(g: LieAlgebra, sub: Subspace) -> tuple[bool, tuple[str, Vec, Vec] |
     """Exact ideal test; on failure returns a witness (basis name, member, bracket),
     the lowest basis index first and then the first member whose bracket escapes."""
     ad = ad_lists(g)
-    images = [{c: tuple(_dense(g.dim, w)) for c, w in ad_images(ad, v).items()} for v in sub.basis]
+    images = [{c: _dense(g.dim, w) for c, w in ad_images(ad, v).items()} for v in sub.rows]
     for c in range(g.dim):
-        for v, image in zip(sub.basis, images):
+        for a, image in enumerate(images):
             if c in image and not sub.contains(image[c]):
-                return False, (g.basis_names[c], v, image[c])
+                v = sub.basis[a]  # the witness in the reduced row echelon basis
+                return False, (g.basis_names[c], v, tuple(_dense(g.dim, ad_images(ad, v)[c])))
     return True, None
 
 
@@ -326,7 +326,9 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, j, coeffs in g.brackets:
         if i in position and j in position:
-            w = residue(ideal.basis, ideal.pivots, _dense(g.dim, coeffs))
+            w = _dense(g.dim, coeffs)  # to its residue: w less w[p] times the RREF row of each pivot p
+            for x, row in [(w[p] / row[p], row) for row, p in zip(ideal.rows, ideal.pivots) if w[p]]:
+                w = [a - x * b if b else a for a, b in zip(w, row)]
             brackets[(position[i], position[j])] = {a: w[c] for a, c in enumerate(comp)}
     return lie_algebra(len(comp), names, brackets)
 

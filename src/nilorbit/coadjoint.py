@@ -30,9 +30,9 @@ test (J = {} iff xi vanishes on [g, g]) is ``oracle_is_character``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from random import Random
-from typing import Sequence
 
 from .algebra import BracketTable, Flag, LieAlgebra, is_ideal
 from .errors import UsageError
@@ -41,7 +41,6 @@ from .linalg import (
     Vec,
     ZERO,
     dot,
-    is_zero_vec,
     kernel_basis,
     rank_profile,
     sub_vec,
@@ -176,7 +175,7 @@ def coadjoint_move(g: LieAlgebra, xi: Functional, x: Sequence[Fraction]) -> Func
                     nxt[b] += xa * s
                 if xb:
                     nxt[a] -= xb * s
-        if is_zero_vec(nxt):
+        if not any(nxt):
             break
         # term <- -nxt / p, the next series term of xi o exp(-ad x)
         term = [-c / p for c in nxt]
@@ -224,7 +223,7 @@ def is_flat_orbit(
         x = random_vector(g, rng, bound)
         moved = coadjoint_move(g, xi, x)
         diff = sub_vec(moved.coords, xi.coords)
-        if all(dot(diff, v) == 0 for v in iso.basis):
+        if all(dot(diff, v) == 0 for v in iso.rows):
             inside += 1
         elif escape is None:
             escape = x

@@ -7,9 +7,9 @@ identity basis order is already a Jordan-Hoelder flag.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from random import Random
-from typing import Sequence
 
 from .algebra import (
     LieAlgebra,
@@ -109,7 +109,7 @@ def verify_hmn(m: int, n: int, seed: int = 0, flat_samples: int = 20, bound: int
     (i) center and nilpotency step; (ii) quotient by the line of Y_n
     reproduces h(m, n-1); (iii) isotropy at probes with <xi, Y_n> != 0 is
     the center, orbit dimension 2n; (iv) isotropy spans at the Y_k probes;
-    (v) flatness of sampled orbits.
+    (v) flatness of sampled orbits.  Items (iii)-(v) need m >= n.
 
     The family is conventionally labeled n-step nilpotent, but its lower
     central series has n + 1 nonzero terms for every m, n >= 1 (already
@@ -207,15 +207,18 @@ def verify_hmn(m: int, n: int, seed: int = 0, flat_samples: int = 20, bound: int
     else:
         items.append(VerifyItem("iv", False, True, "needs m >= n >= 2"))
 
-    # (v) flatness of sampled orbits
-    flat_ok = True
-    for s in range(flat_samples):
-        xi = random_functional(g, rng, bound)
-        res = is_flat_orbit(g, xi, samples=4, seed=seed + s, bound=bound)
-        flat_ok = flat_ok and res.flat
-    items.append(
-        VerifyItem("v", True, flat_ok, f"{flat_samples} sampled orbits all flat: {flat_ok}")
-    )
+    # (v) flatness of sampled orbits, m >= n: for m < n sampled isotropy algebras are mostly not ideals
+    if m >= n:
+        flat_ok = True
+        for s in range(flat_samples):
+            xi = random_functional(g, rng, bound)
+            res = is_flat_orbit(g, xi, samples=4, seed=seed + s, bound=bound)
+            flat_ok = flat_ok and res.flat
+        items.append(
+            VerifyItem("v", True, flat_ok, f"{flat_samples} sampled orbits all flat: {flat_ok}")
+        )
+    else:
+        items.append(VerifyItem("v", False, True, "needs m >= n"))
 
     return HmnReport(m, n, tuple(items), tuple(notes))
 
@@ -242,7 +245,7 @@ def recognize_heisenberg_times_abelian(g: LieAlgebra) -> Recognition | None:
     """Detect g isomorphic to heisenberg(d) x abelian(k); None otherwise.
 
     The test is basis-independent: [g, g] must be a central line R*z, and
-    then the skew form of any functional with <xi, z> = 1 has rank 2d > 0
+    then the skew form of any functional with <xi, z> != 0 has rank 2d > 0
     (some bracket is a nonzero multiple of z) and a kernel of dimension
     k + 1 containing z.  The index is then k + 1, so when k = 0 the note
     records that the one-layer-over-characters picture applies.  The
@@ -254,11 +257,10 @@ def recognize_heisenberg_times_abelian(g: LieAlgebra) -> Recognition | None:
     if der.dim != 1:
         return None
     m = g.dim
-    z_vec = der.basis[0]
-    if ad_images(ad_lists(g), z_vec):
+    if ad_images(ad_lists(g), der.rows[0]):
         return None
     pivot = der.pivots[0]
-    xi = Functional(g, unit_vec(m, pivot))  # <xi, z> = 1 since z is an RREF row
+    xi = Functional(g, unit_vec(m, pivot))  # <xi, z> is the pivot entry of z, so nonzero
     r = rank(bform_matrix(g, xi), m)
     d = r // 2
     k = m - 2 * d - 1

@@ -16,8 +16,8 @@ from __future__ import annotations
 import json
 import re
 import reprlib
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .algebra import LieAlgebra, lie_algebra
 from .errors import UsageError

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Sequence
 from fractions import Fraction
 from random import Random
-from typing import Sequence
 
 from .algebra import LieAlgebra, center, is_ideal
 from .coadjoint import Functional, bform_matrix, is_flat_orbit, isotropy, skew_form
@@ -221,7 +221,7 @@ def orbit_limit_set(
     annihilated = tuple(
         names[i]
         for i in range(g.dim)
-        if xibar.coords[i] == 0 and all(row[i] == 0 for row in v0.basis)
+        if xibar.coords[i] == 0 and all(row[i] == 0 for row in v0.rows)
     )
     _, base_orbit_dim = isotropy(g, xibar)
     degenerated = base_orbit_dim < fam.rank
@@ -229,9 +229,10 @@ def orbit_limit_set(
     z = center(g)
     rng = Random(seed)
     pts = [xibar]
+    basis = v0.basis  # the samples are xibar plus integer combinations of the reduced row echelon rows
     for _ in range(sample_budget - 1):
         coords = list(xibar.coords)
-        for row in v0.basis:
+        for row in basis:
             c = Fraction(rng.randint(-bound, bound))
             if c:
                 coords = [a + c * b for a, b in zip(coords, row)]
@@ -245,7 +246,7 @@ def orbit_limit_set(
         for idx, cl in enumerate(classes):
             rep = cl["rep"]
             diff = sub_vec(pt.coords, rep.coords)
-            if cl["orbit_dim"] == odim and all(dot(diff, v) == 0 for v in cl["iso"].basis):
+            if cl["orbit_dim"] == odim and all(dot(diff, v) == 0 for v in cl["iso"].rows):
                 placed = idx
                 break
         if placed is None:
@@ -259,11 +260,11 @@ def orbit_limit_set(
             placed = len(classes) - 1
         else:
             classes[placed]["size"] += 1
-        key = tuple(dot(pt.coords, zrow) for zrow in z.basis)
+        key = tuple(dot(pt.coords, zrow) for zrow in z.rows)
         slices.setdefault(key, set()).add(placed)
 
     min_per_slice = min(len(v) for v in slices.values())
-    m_dim = Subspace.from_vectors(z.dim, [tuple(dot(row, zrow) for zrow in z.basis) for row in v0.basis]).dim
+    m_dim = Subspace.from_vectors(z.dim, [tuple(dot(row, zrow) for zrow in z.rows) for row in v0.rows]).dim
 
     decomposition = tuple(
         OrbitClass(cl["rep"], cl["orbit_dim"], cl["size"]) for cl in classes

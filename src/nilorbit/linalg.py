@@ -1,22 +1,23 @@
 """Exact rational linear algebra on small dense matrices.
 
-All vectors are tuples of ``fractions.Fraction`` and all decisions (rank,
-membership, kernels) are exact.  Matrices are lists of row vectors.
+Vectors are tuples of ``fractions.Fraction`` and matrices lists of row
+vectors.  Every decision (rank, membership, kernels) is exact, on rows scaled
+to integers: a ``Subspace`` keeps integer rows, and ``Fraction`` rows only
+make up its ``basis``, read where a basis is printed or is an answer.
 
 ``Echelon`` is the one elimination loop.  It is fraction-free and runs over
 integer rows (``rank_profile``: ranks and jump labels at points; ``rref``:
-every canonical ``Subspace`` basis, kernel and inverse, read off its rows)
-and over ``Poly`` rows (symbolic labels and direction families), through
-``echelon_profile``.  A row is normalised as it enters and after each
-reduction step, so a ``Poly`` row is eliminated with integer coefficients
-from the start.  ``residue`` tests membership in a canonical basis.
+every canonical ``Subspace``, kernel and inverse; ``Subspace.contains``,
+by its step) and over ``Poly`` rows (symbolic labels and direction families),
+through ``echelon_profile``.  A row is normalised as it enters and after each
+step, so a ``Poly`` row is eliminated with integer coefficients throughout.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
 
 from .records import Record, setfield
 
@@ -48,22 +49,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
         if a and b:
             s += a * b
     return s
-
-
-def is_zero_vec(v: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in v)
-
-
-def residue(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int], v: Sequence[Fraction]) -> list[Fraction]:
-    """v minus its combination of RREF rows with the given pivot columns; zero iff v is in their span."""
-    w = list(v)
-    for row, p in zip(rows, pivots):
-        c = w[p]
-        if c:
-            for k in range(p, len(w)):
-                if row[k]:
-                    w[k] -= c * row[k]
-    return w
 
 
 class Echelon:
@@ -106,7 +91,7 @@ class Echelon:
 RrefAccumulator = Echelon  # the name under which bench/tracer.py spans this class's methods
 
 
-def _eliminate(row: list, prow: list, support: list[int], c: int, normalise: Callable[[list], list]) -> list:
+def _eliminate(row: list, prow: Sequence, support: Iterable[int], c: int, normalise: Callable[[list], list]) -> list:
     """lead * row - row[c] * prow, zero at c, where lead = prow[c] and prow is zero off `support`."""
     lead, b = prow[c], row[c]
     if lead != 1:  # a Poly is never equal to 1, so Poly rows are always multiplied
@@ -161,45 +146,50 @@ def rank(rows: Iterable[Sequence[Fraction]], ncols: int) -> int:
     return sum(1 for r in rank_profile(rows, ncols) if r is not None)
 
 
-def rref(vectors: Iterable[Sequence[Fraction]]) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-    """Canonical reduced row echelon rows of the span of rational vectors, and their pivot columns.
+def rref(rows: Iterable[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Canonical echelon rows of the span of integer rows, and their pivot columns.
 
-    The rows of one ``Echelon`` of the vectors scaled to integers, in pivot
-    order, clear each pivot column above them, last first; then each entry
-    is divided by its row's pivot entry.
+    The rows of one ``Echelon``, in pivot order, clear each pivot column above
+    them, last first; each, primitive and made positive at its pivot, is then
+    its reduced row echelon row times the lcm of that row's denominators.
     """
     ech = Echelon()
-    for v in vectors:
-        ech.add(integer_row(v))
+    for row in rows:
+        ech.add(row)
     pivots = sorted(ech.rows)
-    rows = [ech.rows[p][0] for p in pivots]
-    for i in range(len(rows) - 1, 0, -1):
-        p, prow = pivots[i], rows[i]
+    out = [ech.rows[p][0] for p in pivots]
+    for i in range(len(out) - 1, 0, -1):
+        p, prow = pivots[i], out[i]
         support = [k for k in range(p, len(prow)) if prow[k]]
         for j in range(i):
-            if rows[j][p]:
-                rows[j] = _eliminate(rows[j], prow, support, p, _primitive)
-    basis = tuple(tuple(Fraction(a, row[p]) if a else ZERO for a in row) for p, row in zip(pivots, rows))
-    return basis, tuple(pivots)
+            if out[j][p]:
+                out[j] = _eliminate(out[j], prow, support, p, _primitive)
+    return tuple(tuple(row) if row[p] > 0 else tuple(-a for a in row) for p, row in zip(pivots, out)), tuple(pivots)
 
 
 def kernel_basis(rows: Iterable[Sequence[Fraction]], ncols: int) -> "Subspace":
-    """The right kernel {v : A v = 0} as a Subspace, from one RREF.
+    """The right kernel {v : A v = 0} of a rational matrix as a Subspace, from one echelon form."""
+    return _kernel([integer_row(r[::-1]) for r in rows], ncols)
 
-    With A's columns reduced in reverse order, each row's pivot q is its last
-    nonzero entry, so the kernel vector e_f - sum row[f] e_q of a free column f
-    is zero before f and at every other free column: canonical RREF already.
+
+def _kernel(reversed_rows: Iterable[Sequence[int]], ncols: int) -> "Subspace":
+    """The right kernel of integer rows given last column first, as a Subspace.
+
+    Reduced in that order, each row's pivot q is its last nonzero entry, so the
+    kernel vector d e_f - sum (d / row[q]) row[f] e_q of a free column f, d the lcm
+    of the row[q] with row[f] != 0, is zero before f and at the other free columns.
     """
-    basis, pivots = rref(r[::-1] for r in rows)
-    reduced = {ncols - 1 - p: row[::-1] for row, p in zip(basis, pivots)}
+    rows, pivots = rref(reversed_rows)
+    reduced = {ncols - 1 - p: row[::-1] for row, p in zip(rows, pivots)}
     free = tuple(f for f in range(ncols) if f not in reduced)
     kernel = []
     for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
+        d = lcm(*[row[q] for q, row in reduced.items() if row[f]])
+        v = [0] * ncols
+        v[f] = d
         for q, row in reduced.items():
-            v[q] = -row[f]
-        kernel.append(tuple(v))
+            v[q] = -(d // row[q]) * row[f]
+        kernel.append(tuple(_primitive(v)))
     return Subspace(ncols, tuple(kernel), free)
 
 
@@ -207,10 +197,10 @@ def invert(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Inverse of a square rational matrix; raises ValueError if singular."""
     n = len(rows)
     aug = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(rows)]
-    red, pivots = rref(aug)
-    if list(pivots[:n]) != list(range(n)) or len(red) != n:
+    red = Subspace.from_vectors(2 * n, aug)  # of rank n, with pivots 0..n-1 iff invertible
+    if red.pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return [list(r[n:]) for r in red]
+    return [list(r[n:]) for r in red.basis]
 
 
 def transpose(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -218,18 +208,18 @@ def transpose(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 
 
 class Subspace(Record):
-    """A linear subspace of Q^n stored as canonical RREF rows."""
+    """A subspace of Q^n, stored as its RREF rows (``basis``) each scaled to primitive integers."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
-    def __init__(self, ambient_dim: int, basis: tuple[Vec, ...], pivots: tuple[int, ...]):
+    def __init__(self, ambient_dim: int, rows: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]):
         setfield(self, "ambient_dim", ambient_dim)
-        setfield(self, "basis", basis)
+        setfield(self, "rows", rows)
         setfield(self, "pivots", pivots)
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
-        return cls(ambient_dim, *rref(vectors))
+        return cls(ambient_dim, *rref(map(integer_row, vectors)))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -237,15 +227,24 @@ class Subspace(Record):
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple(unit_vec(ambient_dim, i) for i in range(ambient_dim)), tuple(range(ambient_dim)))
+        return cls.zero(ambient_dim).perp()  # the kernel of no rows: the unit rows
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def basis(self) -> tuple[Vec, ...]:
+        """The RREF rows over ``Fraction``, each row divided by its pivot entry; built on each call."""
+        return tuple(tuple(Fraction(a, row[p]) if a else ZERO for a in row) for row, p in zip(self.rows, self.pivots))
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return is_zero_vec(residue(self.basis, self.pivots, v))
+        row = integer_row(v)  # reduced by each row with the Echelon step
+        for prow, p in zip(self.rows, self.pivots):
+            if row[p]:
+                row = _eliminate(row, prow, range(p, self.ambient_dim), p, _primitive)
+        return not any(row)
 
     def perp(self) -> "Subspace":
         """Annihilator in the dual coordinates: {w : <w, v> = 0 for all v here}."""
-        return kernel_basis(self.basis, self.ambient_dim)
+        return _kernel([r[::-1] for r in self.rows], self.ambient_dim)

@@ -13,10 +13,10 @@ go through ``Fraction``, so no coefficient is ever a float.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
-from typing import Sequence
 
 from .records import Record, setfield
 

@@ -19,9 +19,9 @@ loop that labels points, with ``polys.strip_row`` as its row normaliser.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from math import inf
 from random import Random
-from typing import Iterable, Sequence
 
 from .algebra import Flag, derived_subalgebra
 from .coadjoint import (

@@ -6,7 +6,8 @@ characterization); these avoid the library's RREF and membership machinery,
 so agreement with the package is a two-route check.
 ``RrefAccumulator`` is the reference RREF: it divides by each pivot over
 ``Fraction`` as rows arrive, where the package's ``linalg.rref`` runs its
-fraction-free integer loop and divides only at the end.
+fraction-free integer loop and keeps the integer rows, which only
+``Subspace.basis`` divides by their pivots.
 ``oracle_membership_fine_tuple`` follows the definition of the jump sets
 literally, one isotropy kernel and one membership scan per leading block,
 both with ``RrefAccumulator``: its kernels come from ``oracle_kernel``,
@@ -35,6 +36,7 @@ are checked.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from nilorbit.linalg import ONE, ZERO, Subspace, unit_vec
 from nilorbit.polys import Poly, strip_row
@@ -78,7 +80,12 @@ class RrefAccumulator:
         return True
 
     def subspace(self):
-        return Subspace(self.ncols, tuple(tuple(r) for r in self.rows), tuple(self.pivots))
+        """This RREF as the package stores it: each row times the lcm of its denominators."""
+        rows = []
+        for row in self.rows:
+            den = lcm(*(a.denominator for a in row))
+            rows.append(tuple(int(a * den) for a in row))
+        return Subspace(self.ncols, tuple(rows), tuple(self.pivots))
 
 
 def oracle_rank(rows) -> int:

@@ -34,7 +34,7 @@ from nilorbit.algebra import (
     validate_algebra,
 )
 from nilorbit.families import abelian, heisenberg, hmn, random_unimodular, threadlike
-from nilorbit.linalg import Subspace, invert, residue, unit_vec, vec
+from nilorbit.linalg import Subspace, invert, unit_vec, vec
 
 F = Fraction
 
@@ -136,7 +136,7 @@ def test_stored_table_checks_match_the_dense_oracles_on_random_tables():
         comp = [c for c in range(m) if c not in z.pivots]
         for a in range(q.dim):
             for b in range(a + 1, q.dim):
-                w = residue(z.basis, z.pivots, oracle_bracket(g, units[comp[a]], units[comp[b]]))
+                w = RrefAccumulator(m, z.basis).reduce(oracle_bracket(g, units[comp[a]], units[comp[b]]))
                 assert oracle_bracket(q, unit_vec(q.dim, a), unit_vec(q.dim, b)) == tuple(w[c] for c in comp)
         for kind in {d.kind for d in diags} or {"valid"}:
             seen[kind] += 1
@@ -468,3 +468,23 @@ def test_flag_rows_are_the_reference_greedy_walk_on_the_corpus():
         acc = RrefAccumulator(g.dim)
         walk = tuple(row for member in reversed(chain) for row in member.basis if acc.add(row))
         assert jordan_holder_flag(g, chain).rows == walk == jordan_holder_flag(g).rows
+
+
+def test_quotients_by_the_center_and_the_series_match_the_oracle_residue_on_the_corpus():
+    """[e_a, e_b] in g / I is the reference residue of [X_a, X_b] modulo I, read at the complement columns."""
+    nonabelian = 0
+    for g in corpus(9, 40):
+        m = g.dim
+        units = [unit_vec(m, i) for i in range(m)]
+        chain, _ = lower_central_series(g)
+        for ideal in [center(g)] + chain:
+            q = quotient(g, ideal)
+            comp = [c for c in range(m) if c not in ideal.pivots]
+            reference = RrefAccumulator(m, ideal.basis)
+            assert q.dim == len(comp) == m - ideal.dim and validate_algebra(q) == []
+            for a in range(q.dim):
+                for b in range(a + 1, q.dim):
+                    w = reference.reduce(oracle_bracket(g, units[comp[a]], units[comp[b]]))
+                    assert oracle_bracket(q, unit_vec(q.dim, a), unit_vec(q.dim, b)) == tuple(w[c] for c in comp)
+            nonabelian += bool(q.brackets)
+    assert nonabelian >= 40

@@ -192,6 +192,17 @@ def test_verify_hmn_cli(capsys):
     assert rep["all_passed"] and len(rep["items"]) == 5
 
 
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 5), (4, 5)])
+def test_verify_hmn_cli_passes_when_m_is_below_n(m, n, capsys):
+    """Items (iii)-(v) need m >= n; below that they are not applicable, and the run passes."""
+    code, out = run_cli(["verify-hmn", str(m), str(n)], capsys=capsys)
+    assert code == 0
+    rep = json.loads(out)["report"]
+    assert rep["all_passed"]
+    assert [(it["item"], it["applicable"]) for it in rep["items"][2:]] == [("iii", False), ("iv", False), ("v", False)]
+    assert rep["items"][4]["detail"] == "needs m >= n"
+
+
 def test_limit_cli(capsys, monkeypatch, tmp_path):
     from nilorbit.families import hmn
 

@@ -3,7 +3,8 @@ from random import Random
 
 import pytest
 
-from _oracles import oracle_det
+from _corpus import corpus
+from _oracles import RrefAccumulator, oracle_bracket, oracle_det
 
 from nilorbit.algebra import (
     center,
@@ -27,6 +28,7 @@ from nilorbit.families import (
     threadlike,
     verify_hmn,
 )
+from nilorbit.linalg import unit_vec
 from nilorbit.strata import generic_stratum
 
 F = Fraction
@@ -181,6 +183,24 @@ def test_recognize_rejects_threadlike():
         assert recognize_heisenberg_times_abelian(threadlike(n)) is None
     rec = recognize_heisenberg_times_abelian(threadlike(3))
     assert rec is not None and (rec.d, rec.k) == (1, 0)
+
+
+def test_recognize_returns_none_unless_the_derived_algebra_is_a_central_line_on_the_corpus():
+    """[g, g] is the reference RREF of the oracle brackets of unit vectors; it is a central line
+    when it has one row z and every [X_i, z] is zero."""
+    rejected = 0
+    for g in corpus(0, 60):
+        m = g.dim
+        units = [unit_vec(m, i) for i in range(m)]
+        der = RrefAccumulator(m, [oracle_bracket(g, u, v) for u in units for v in units])
+        central_line = len(der.rows) == 1 and not any(any(oracle_bracket(g, u, der.rows[0])) for u in units)
+        rec = recognize_heisenberg_times_abelian(g)
+        if central_line:
+            assert rec is not None and 2 * rec.d + rec.k + 1 == m
+        else:
+            assert rec is None
+            rejected += 1
+    assert rejected >= 30
 
 
 # --- unimodular sampling -----------------------------------------------------------

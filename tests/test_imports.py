@@ -22,9 +22,9 @@ _REPORT = "import json, sys\nprint(json.dumps(sorted(sys.modules)), file=sys.std
 _CODE_GENERATION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
-def _loaded_after(code):
+def _loaded_after(code, *flags):
     proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\n{_REPORT}"], capture_output=True, text=True, timeout=60
+        [sys.executable, *flags, "-c", f"{code}\n{_REPORT}"], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stderr.splitlines()[-1]))
@@ -99,3 +99,17 @@ def test_no_module_of_the_package_loads_dataclasses():
     loaded = _loaded_after(code)
     assert {f"nilorbit.{n}" for n in names} <= loaded
     assert not loaded & _CODE_GENERATION
+
+
+def test_the_package_leaves_typing_unloaded():
+    """Annotations name `collections.abc` types, so no module imports `typing`.
+
+    Under `python -S` (no `site`, whose `.pth` files may load `typing`) the
+    standard modules the package uses leave it out too, so it stays out of
+    every command's start-up.
+    """
+    home = str(Path(nilorbit.__file__).parent.parent)  # on sys.path without site
+    code = f"import sys; sys.path.insert(0, {home!r})\nimport nilorbit.cli, nilorbit.strata, nilorbit.limits, nilorbit.families"
+    loaded = _loaded_after(code, "-S")
+    assert {"nilorbit.cli", "nilorbit.strata", "nilorbit.limits", "nilorbit.families"} <= loaded
+    assert "typing" not in loaded

@@ -1,12 +1,13 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
 from _corpus import corpus
-from _oracles import RrefAccumulator, mat_vec, oracle_kernel, oracle_rank, oracle_subspace_sum
+from _oracles import RrefAccumulator, mat_vec, oracle_ad_matrix, oracle_bracket, oracle_kernel, oracle_rank, oracle_subspace_sum
 
-from nilorbit.algebra import jordan_holder_flag
-from nilorbit.coadjoint import bform_matrix, random_functional
+from nilorbit.algebra import center, derived_subalgebra, jordan_holder_flag, lower_central_series
+from nilorbit.coadjoint import bform_matrix, isotropy, random_functional
 from nilorbit.families import random_unimodular
 from nilorbit.linalg import (
     Echelon,
@@ -153,6 +154,42 @@ def test_spans_kernels_and_inverses_equal_the_reference_rref_on_the_corpus():
         _check_against_reference([list(r) for r in flag.rows], m)
         _check_against_reference(bform_matrix(g, random_functional(g, rng)), m)
         _check_against_reference([_dense(m, coeffs) for _, _, coeffs in g.brackets], m)
+
+
+def _assert_canonical(sub, reference_rows):
+    """Primitive integer rows, positive at their pivots, whose `basis` is the reference RREF of `reference_rows`."""
+    m = sub.ambient_dim
+    for row, p in zip(sub.rows, sub.pivots):
+        assert len(row) == m and all(type(a) is int for a in row)
+        assert row[p] > 0 and not any(row[:p]) and gcd(*row) == 1
+    reference = RrefAccumulator(m, reference_rows)
+    assert sub.basis == tuple(tuple(r) for r in reference.rows) and sub.pivots == tuple(reference.pivots)
+
+
+def test_every_subspace_on_the_corpus_keeps_canonical_integer_rows():
+    """Series terms, center, [g, g], isotropy at seeded points, and the perp of each.
+
+    Each reference RREF is taken over ``Fraction`` from a spanning set read
+    off the oracles: the brackets of the term before with every unit vector,
+    the stacked ad(X_i) matrices' kernel, the brackets of unit vectors, the
+    kernel of the skew form, and for a perp the kernel of the basis.
+    """
+    rng = Random(29)
+    for g in corpus(8, 40):
+        m = g.dim
+        units = [unit_vec(m, i) for i in range(m)]
+        chain, _ = lower_central_series(g)
+        cases = [(chain[0], units)]
+        cases += [(term, [oracle_bracket(g, u, v) for u in units for v in before.basis]) for before, term in zip(chain, chain[1:])]
+        stacked = [row for u in units for row in oracle_ad_matrix(g, u)]
+        cases.append((center(g), oracle_kernel(stacked, m).basis))
+        cases.append((derived_subalgebra(g), [oracle_bracket(g, u, v) for u in units for v in units]))
+        for _ in range(3):
+            xi = random_functional(g, rng)
+            cases.append((isotropy(g, xi)[0], oracle_kernel(bform_matrix(g, xi), m).basis))
+        for sub, reference_rows in cases:
+            _assert_canonical(sub, reference_rows)
+            _assert_canonical(sub.perp(), oracle_kernel(sub.basis, m).basis)
 
 
 

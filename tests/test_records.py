@@ -25,7 +25,7 @@ from nilorbit.strata import IndexResult, Layer, LayerReport, StratumSample
 
 G = LieAlgebra(2, ("X", "Y"), ())
 XI = Functional(G, (F(1), F(-1, 2)))
-V = Subspace(2, ((F(1), F(0)),), (0,))
+V = Subspace(2, ((1, 0),), (0,))
 P = Poly(1, (((0,), F(1)), ((2,), F(-3))))
 CERT = FlatnessCertificate(False, 2, 1, (F(0), F(1)))
 ITEM = VerifyItem("(ii)", False, True, "")
@@ -33,7 +33,7 @@ ORBIT = OrbitClass(XI, 0, 5)
 
 G_REPR = "LieAlgebra(dim=2, basis_names=('X', 'Y'), brackets=())"
 XI_REPR = f"Functional(algebra={G_REPR}, coords=(Fraction(1, 1), Fraction(-1, 2)))"
-V_REPR = "Subspace(ambient_dim=2, basis=((Fraction(1, 1), Fraction(0, 1)),), pivots=(0,))"
+V_REPR = "Subspace(ambient_dim=2, rows=((1, 0),), pivots=(0,))"
 P_REPR = "Poly(nvars=1, terms=(((0,), Fraction(1, 1)), ((2,), Fraction(-3, 1))))"
 
 # (class, its fields in order, the repr of the frozen class at the same fields)
@@ -110,7 +110,7 @@ CASES = [
         f"annihilated=('Y',), decomposition=(OrbitClass(representative={XI_REPR}, orbit_dim=0, size=5),), "
         "slice_count=3, min_orbits_per_slice=1, isolated_point_flag=True, m_dim=1, samples=5, seed=7)",
     ),
-    (Subspace, dict(ambient_dim=2, basis=((F(1), F(0)),), pivots=(0,)), V_REPR),
+    (Subspace, dict(ambient_dim=2, rows=((1, 0),), pivots=(0,)), V_REPR),
     (Poly, dict(nvars=1, terms=(((0,), F(1)), ((2,), F(-3)))), P_REPR),
     (
         IndexResult,
