@@ -1,11 +1,16 @@
 """Nilpotent Lie algebras given by rational structure constants.
 
 An algebra of dimension m stores only the brackets [X_i, X_j] for i < j as
-sparse coefficient lists; [X_j, X_i] is minus the stored value.  All series,
-flags, quotients and products are computed exactly over the rationals.  The
-table is read for brackets only through the per-index lists of `ad_lists`,
-by `ad_images`: every [X_c, v] at once, touching only the stored entries at
-nonzero coordinates of v.  `row_brackets` pairs rows through their images.
+sparse coefficient lists; [X_j, X_i] is minus the stored value.  A
+coefficient is an ``int`` when it is integral and a ``Fraction`` otherwise
+(`lie_algebra` stores it so), the same ``int | Fraction`` idiom as
+``polys.Coeff``: equal values compare and hash equal and print alike, and
+the integer rows of a ``Subspace`` meet an integral table in ``int``
+arithmetic.  All series, flags, quotients and products are computed exactly
+over the rationals.  The table is read for brackets only through the
+per-index lists of `ad_lists`, by `ad_images`: every [X_c, v] at once,
+touching only the stored entries at nonzero coordinates of v.
+`row_brackets` pairs rows through their images.
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ from .linalg import (
 )
 from .records import Record, setfield
 
+Coeff = int | Fraction  # an int when integral
 # ((i, j, ((k, c), ...)), ...) with 0-based i < j and nonzero c only
-BracketTable = tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
+BracketTable = tuple[tuple[int, int, tuple[tuple[int, Coeff], ...]], ...]
 # ad[k] = [(c, sign, coeffs), ...]: the stored [X_k, X_c] is sign * coeffs
-AdLists = list[list[tuple[int, int, tuple[tuple[int, Fraction], ...]]]]
+AdLists = list[list[tuple[int, int, tuple[tuple[int, Coeff], ...]]]]
 
 
 class NonNilpotentError(MathError):
@@ -81,9 +87,12 @@ def ad_lists(g: LieAlgebra) -> AdLists:
     return ad
 
 
-def ad_images(ad: AdLists, v: Sequence[Fraction]) -> dict[int, tuple[tuple[int, Fraction], ...]]:
-    """Every nonzero [X_c, v], keyed by c in increasing order, as its nonzero entries ((t, a), ...) in increasing t."""
-    images: dict[int, dict[int, Fraction]] = {}  # sparse, so a zero image costs only its touched entries
+def ad_images(ad: AdLists, v: Sequence[Coeff]) -> dict[int, tuple[tuple[int, Coeff], ...]]:
+    """Every nonzero [X_c, v], keyed by c in increasing order, as its nonzero entries ((t, a), ...) in increasing t.
+
+    An integer row of an integral table has integer images.
+    """
+    images: dict[int, dict[int, Coeff]] = {}  # sparse, so a zero image costs only its touched entries
     for k, x in enumerate(v):
         if x:
             for c, sign, coeffs in ad[k]:
@@ -96,7 +105,7 @@ def ad_images(ad: AdLists, v: Sequence[Fraction]) -> dict[int, tuple[tuple[int, 
     return {c: w for c, w in sparse if w}
 
 
-def row_brackets(ad: AdLists, rows: Sequence[Sequence[Fraction]]) -> BracketTable:
+def row_brackets(ad: AdLists, rows: Sequence[Sequence[Coeff]]) -> BracketTable:
     """Every nonzero [rows[a], rows[b]], a < b, as a bracket-table entry (a, b, ((t, x), ...)).
 
     [rows[a], rows[b]] = sum of rows[a][c] [X_c, rows[b]]: each row's
@@ -113,7 +122,7 @@ def row_brackets(ad: AdLists, rows: Sequence[Sequence[Fraction]]) -> BracketTabl
                 x, w = terms[0]
                 out.append((a, b, w if x == 1 else tuple((t, x * y) for t, y in w)))
             elif terms:
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, Coeff] = {}
                 for x, w in terms:
                     for t, y in w:
                         z = acc.get(t)
@@ -124,19 +133,25 @@ def row_brackets(ad: AdLists, rows: Sequence[Sequence[Fraction]]) -> BracketTabl
     return tuple(out)
 
 
-def _dense(m: int, coeffs) -> list[Fraction]:
+def _dense(m: int, coeffs) -> list[Coeff]:
     """A stored coefficient list ((k, c), ...) as a coordinate vector."""
-    out = [ZERO] * m
+    out: list[Coeff] = [0] * m
     for k, c in coeffs:
         out[k] = c
     return out
 
 
-def lie_algebra(dim: int, basis_names: Sequence[str], brackets: Mapping[tuple[int, int], Mapping[int, Fraction]]) -> LieAlgebra:
-    """Build a LieAlgebra from a {(i, j): {k: c}} mapping, 0-based, i < j."""
+def _coeff(c) -> Coeff:
+    """A rational as it is stored in a bracket table: an int when integral."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def lie_algebra(dim: int, basis_names: Sequence[str], brackets: Mapping[tuple[int, int], Mapping[int, Coeff]]) -> LieAlgebra:
+    """Build a LieAlgebra from a {(i, j): {k: c}} mapping, 0-based, i < j; integral c are stored as int."""
     entries = []
     for (i, j) in sorted(brackets):
-        coeffs = tuple(sorted((k, Fraction(c)) for k, c in brackets[(i, j)].items() if c != 0))
+        coeffs = tuple(sorted((k, _coeff(c)) for k, c in brackets[(i, j)].items() if c != 0))
         if coeffs:
             entries.append((i, j, coeffs))
     return LieAlgebra(dim, tuple(basis_names), tuple(entries))
@@ -180,7 +195,7 @@ def _diagnose(g: LieAlgebra) -> tuple[list[Diagnostic], tuple[list[Subspace], in
     # one cyclic term of the sorted triple, negated when a < c < b; it is
     # the sum of [X_k, X_c] over the terms X_k of [X_a, X_b].
     ad = ad_lists(g)
-    sums: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    sums: dict[tuple[int, int, int], dict[int, Coeff]] = {}
     for a, b, w in g.brackets:
         for k, x in w:
             for c, sign, coeffs in ad[k]:
@@ -189,7 +204,7 @@ def _diagnose(g: LieAlgebra) -> tuple[list[Diagnostic], tuple[list[Subspace], in
                 s = sums.setdefault(tuple(sorted((a, b, c))), {})
                 factor = -sign * x if a < c < b else sign * x
                 for t, y in coeffs:
-                    s[t] = s.get(t, ZERO) + factor * y
+                    s[t] = s.get(t, 0) + factor * y  # int throughout on an integral table
     for i, j, k in sorted(t for t, s in sums.items() if any(s.values())):
         names = ", ".join(g.basis_names[t] for t in (i, j, k))
         out.append(Diagnostic("jacobi", f"Jacobi identity fails on ({names})", (i + 1, j + 1, k + 1)))
@@ -219,11 +234,11 @@ def lower_central_series(g: LieAlgebra) -> tuple[list[Subspace], int]:
 def center(g: LieAlgebra) -> Subspace:
     """Joint kernel of all ad(X_k), whose nonzero rows are read off the `ad` lists."""
     m = g.dim
-    rows: dict[tuple[int, int], list[Fraction]] = {}
+    rows: dict[tuple[int, int], list[Coeff]] = {}
     for k, entries in enumerate(ad_lists(g)):
         for c, sign, coeffs in entries:
             for t, a in coeffs:
-                rows.setdefault((k, t), [ZERO] * m)[c] += sign * a
+                rows.setdefault((k, t), [0] * m)[c] += sign * a
     return kernel_basis(rows.values(), m)
 
 
@@ -323,11 +338,12 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     comp = tuple(c for c in range(g.dim) if c not in ideal.pivots)
     names = tuple(g.basis_names[c] for c in comp)
     position = {c: a for a, c in enumerate(comp)}
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    brackets: dict[tuple[int, int], dict[int, Coeff]] = {}
     for i, j, coeffs in g.brackets:
         if i in position and j in position:
             w = _dense(g.dim, coeffs)  # to its residue: w less w[p] times the RREF row of each pivot p
-            for x, row in [(w[p] / row[p], row) for row, p in zip(ideal.rows, ideal.pivots) if w[p]]:
+            # w[p] and row[p] may both be ints: their ratio is a Fraction, never a float
+            for x, row in [(Fraction(w[p], row[p]), row) for row, p in zip(ideal.rows, ideal.pivots) if w[p]]:
                 w = [a - x * b if b else a for a, b in zip(w, row)]
             brackets[(position[i], position[j])] = {a: w[c] for a, c in enumerate(comp)}
     return lie_algebra(len(comp), names, brackets)
@@ -340,7 +356,7 @@ def direct_product(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
         names1 = [f"{s}.1" for s in names1]
         names2 = [f"{s}.2" for s in names2]
     d1 = g1.dim
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    brackets: dict[tuple[int, int], dict[int, Coeff]] = {}
     for i, j, coeffs in g1.brackets:
         brackets[(i, j)] = {k: c for k, c in coeffs}
     for i, j, coeffs in g2.brackets:

@@ -104,7 +104,7 @@ def skew_form(table: BracketTable, coords: Sequence, zero=ZERO) -> list:
         val = zero
         for k, c in coeffs:
             if coords[k]:
-                val = val + c * coords[k]
+                val = val + coords[k] * c  # Fraction * int dispatches faster than int * Fraction
         if val:
             mat[a][b] = val
             mat[b][a] = -val
@@ -169,7 +169,7 @@ def coadjoint_move(g: LieAlgebra, xi: Functional, x: Sequence[Fraction]) -> Func
             s = ZERO
             for k, c in coeffs:
                 if term[k]:
-                    s += c * term[k]
+                    s += term[k] * c
             if s:
                 if xa:
                     nxt[b] += xa * s
@@ -177,7 +177,8 @@ def coadjoint_move(g: LieAlgebra, xi: Functional, x: Sequence[Fraction]) -> Func
                     nxt[a] -= xb * s
         if not any(nxt):
             break
-        # term <- -nxt / p, the next series term of xi o exp(-ad x)
+        # term <- -nxt / p, the next series term of xi o exp(-ad x); nxt starts
+        # at ZERO, so each c is a Fraction and c / p is never a float
         term = [-c / p for c in nxt]
         for j in range(g.dim):
             total[j] += term[j]

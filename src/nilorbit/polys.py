@@ -80,7 +80,9 @@ class Poly(Record):
     def __neg__(self) -> "Poly":
         return Poly(self.nvars, tuple((m, -c) for m, c in self.terms))
 
-    def __mul__(self, other: "Poly") -> "Poly":
+    def __mul__(self, other) -> "Poly":
+        if other.__class__ is not Poly:  # a rational scalar
+            return self.scale(other)
         data: dict[Mono, Coeff] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:

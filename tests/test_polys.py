@@ -35,6 +35,8 @@ def test_poly_scale_and_neg():
     p = t.scale(F(2)) + Poly.const(1, 3)
     assert ucoeffs(p) == [F(3), F(2)]
     assert ucoeffs(-p) == [F(-3), F(-2)]
+    for c in (2, F(2), F(-1, 3), 0):  # a scalar on either side
+        assert p * c == c * p == p.scale(c)
 
 
 def test_udivmod_and_gcd():
