@@ -26,15 +26,22 @@ The package labels points this one way.  The definitional routes it is
 checked against live in ``tests/_oracles.py``: the per-leading-block scan
 is ``oracle_membership_fine_tuple``, and the bracket-by-bracket character
 test (J = {} iff xi vanishes on [g, g]) is ``oracle_is_character``.
+
+The coadjoint action Ad*(exp x) xi = xi o exp(-ad x) (``coadjoint_move``) is
+its exponential series summed in integers over one common denominator, with
+ad x read off the bracket table once as sparse columns; the only
+``Fraction``s are the final coordinates.  The tests sum the same series over
+the dense matrix of ad x in ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from math import lcm
 from random import Random
 
-from .algebra import BracketTable, Flag, LieAlgebra, is_ideal
+from .algebra import BracketTable, Flag, LieAlgebra, ad_images, ad_lists, is_ideal
 from .errors import UsageError
 from .linalg import (
     Subspace,
@@ -153,38 +160,38 @@ def fine_tuple_from_pivots(pivot_row: Sequence[int | None]) -> tuple[tuple[int, 
 
 
 def coadjoint_move(g: LieAlgebra, xi: Functional, x: Sequence[Fraction]) -> Functional:
-    """Ad*(exp x) xi = xi o exp(-ad x), a finite sum since ad x is nilpotent."""
-    if g.dim == 0:
+    """Ad*(exp x) xi = xi o exp(-ad x), a finite sum since ad x is nilpotent.
+
+    With d and e the lcms of the denominators of xi and x, the series is
+    summed in integers: T_0 = d xi and T_p = T_{p-1} o ad(-e x), so that
+    xi o exp(-ad x) = sum of T_p / (d e^p p!) over p <= P, the last nonzero
+    term.  The columns of ad(-e x) are read off the bracket table once, as
+    the ``ad_images`` [X_b, e x]; on an integral table each is an int.  The
+    partial sums share the denominator d e^p p!, and each coordinate becomes
+    one ``Fraction`` at the end.
+    """
+    m = g.dim
+    if m == 0:
         return xi
-    term = list(xi.coords)
-    total = list(term)
-    for p in range(1, g.dim + 1):
-        # nxt = term o ad x from the bracket table: with s = <term, [X_a, X_b]>,
-        # [x, X_b] contributes x_a s and [x, X_a] contributes -x_b s
-        nxt = [ZERO] * g.dim
-        for a, b, coeffs in g.brackets:
-            xa, xb = x[a], x[b]
-            if not (xa or xb):
-                continue
-            s = ZERO
-            for k, c in coeffs:
-                if term[k]:
-                    s += term[k] * c
-            if s:
-                if xa:
-                    nxt[b] += xa * s
-                if xb:
-                    nxt[a] -= xb * s
+    d = lcm(*[c.denominator for c in xi.coords])
+    e = lcm(*[c.denominator for c in x])
+    columns = list(ad_images(ad_lists(g), [c.numerator * (e // c.denominator) for c in x]).items())
+    term = [c.numerator * (d // c.denominator) for c in xi.coords]
+    total = term  # the numerators over den
+    den = d
+    for p in range(1, m + 1):
+        nxt = [0] * m
+        for b, column in columns:
+            nxt[b] = sum([term[t] * a for t, a in column])
         if not any(nxt):
             break
-        # term <- -nxt / p, the next series term of xi o exp(-ad x); nxt starts
-        # at ZERO, so each c is a Fraction and c / p is never a float
-        term = [-c / p for c in nxt]
-        for j in range(g.dim):
-            total[j] += term[j]
+        k = e * p
+        total = [u * k + v for u, v in zip(total, nxt)]
+        den *= k
+        term = nxt
     else:
         raise RuntimeError("ad x is not nilpotent; the exponential series did not terminate")
-    return Functional(g, tuple(total))
+    return Functional(g, tuple(Fraction(n, den) if n else ZERO for n in total))
 
 
 class AffineOrbit(Record):

@@ -128,7 +128,10 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def integer_row(v: Sequence[Fraction]) -> list[int]:
-    """A rational vector times the lcm of its denominators."""
+    """A rational vector times the lcm of its denominators; a copy of a vector of ints."""
+    # int + Fraction is a Fraction, so the sum is an int only on a row of ints
+    if v and type(v[0]) is int and type(sum(v)) is int:
+        return list(v)
     nonzero = [(k, a) for k, a in enumerate(v) if a is not ZERO and a]  # the shared ZERO skips Fraction.__bool__
     den = lcm(*[a.denominator for _, a in nonzero])
     row = [0] * len(v)

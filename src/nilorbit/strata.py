@@ -34,7 +34,6 @@ from .coadjoint import (
 from .errors import UsageError
 from .formats import ORDER_VARIANTS
 from .linalg import echelon_profile
-from .polys import Poly, strip_row
 from .records import Record
 
 IndexSetLabel = tuple[int, ...]
@@ -95,6 +94,8 @@ class IndexResult(Record):
 
 def _symbolic_fine_label(flag: Flag) -> FineLabel:
     """Generic fine label with the dual coordinates treated as indeterminates."""
+    from .polys import Poly, strip_row  # here, so that point labels and sampled strata leave polys unloaded
+
     m = flag.dim
     coords = [Poly.variable(m, i) for i in range(m)]
     pivot_row, _ = echelon_profile(skew_form(flag.pair_support, coords, Poly.zero(m)), m, strip_row)

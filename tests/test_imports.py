@@ -52,13 +52,29 @@ def _command(argv, tmp_path):
     )
 
 
-@pytest.mark.parametrize("argv", [["series"], ["family", "hmn", "2", "2"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series"],
+        ["family", "hmn", "2", "2"],
+        ["classify", '["1","0","2"]'],
+        ["strata"],
+        ["layers"],
+        ["index", "--mode", "sampled"],
+    ],
+)
 def test_command_loads_neither_polys_nor_limits(argv, tmp_path):
     loaded = _loaded_after(_command(argv, tmp_path))
     assert "nilorbit.algebra" in loaded
     assert not loaded & {"nilorbit.polys", "nilorbit.limits"}
     if argv[0] == "series":
         assert "nilorbit.families" not in loaded
+
+
+def test_symbolic_index_loads_polys(tmp_path):
+    loaded = _loaded_after(_command(["index", "--mode", "symbolic"], tmp_path))
+    assert "nilorbit.polys" in loaded
+    assert "nilorbit.limits" not in loaded
 
 
 def test_every_exported_name_resolves_to_its_home_object():
